@@ -31,6 +31,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -51,20 +52,26 @@ CONFIG = GraficsConfig(embedding=EmbeddingConfig(samples_per_edge=40.0, seed=0),
 FULL = {"records_per_floor": 100, "probes": 10, "cold_predicts": 150}
 SMOKE = {"records_per_floor": 40, "probes": 5, "cold_predicts": 40}
 
+#: Interleaved exact/delta rounds the delta-speedup gate medians over.  A
+#: best-of-3 ratio read 1.04 against the 1.05 bar on a 2-CPU host whose
+#: throughput drifts tens of percent within seconds; the median of eleven
+#: alternating per-round ratios is what the gate holds instead.
+AB_ROUNDS = 11
 
-def measure_cold_serving(models: dict, dataset, probes, cold_predicts: int,
-                         repeats: int = 3) -> dict:
-    """Cold-path throughput of uncached predictions, one entry per model.
+
+def cold_serving_passes(models: dict, dataset, probes, cold_predicts: int,
+                        repeats: int = 3) -> dict[str, list[float]]:
+    """Seconds per cold-path pass of each model, ``repeats`` passes each.
 
     The cache is disabled so every prediction takes the full cold path:
     routing, overlay-staged frozen embedding against the trained model and
     the nearest-centroid lookup.  This is the number the mutation-free
-    online path (PR 5) targets.  All models are measured in *alternating*
-    passes and each reports its best pass: this benchmark compares sampler
-    modes against each other and across PRs, and sequential blocks are at
-    the mercy of host clock drift (sustained runs on the CI hosts have
-    been observed to sag by tens of percent within seconds, which would
-    systematically penalise whichever mode runs later).
+    online path (PR 5) targets.  All models are measured in *interleaved*
+    rounds, alternating which model goes first: this benchmark compares
+    sampler modes against each other and across PRs, and sequential blocks
+    are at the mercy of host clock drift (sustained runs on the CI hosts
+    have been observed to sag by tens of percent within seconds, which
+    would systematically penalise whichever mode runs later).
     """
     services = {}
     for name, model in models.items():
@@ -74,19 +81,34 @@ def measure_cold_serving(models: dict, dataset, probes, cold_predicts: int,
                                       config=ServingConfig(enable_cache=False))
         service.predict(probes[0])                # warm-up (engine, router)
         services[name] = service
-    best: dict = {name: None for name in services}
-    for _ in range(repeats):
-        for name, service in services.items():
+    passes: dict[str, list[float]] = {name: [] for name in services}
+    names = list(services)
+    for round_index in range(repeats):
+        for name in names if round_index % 2 == 0 else names[::-1]:
             start = time.perf_counter()
             for i in range(cold_predicts):
-                service.predict(probes[i % len(probes)])
-            seconds = time.perf_counter() - start
-            if best[name] is None or seconds < best[name]:
-                best[name] = seconds
-    return {name: {"records": cold_predicts,
-                   "seconds": round(seconds, 4),
-                   "records_per_s": round(cold_predicts / seconds, 1)}
-            for name, seconds in best.items()}
+                services[name].predict(probes[i % len(probes)])
+            passes[name].append(time.perf_counter() - start)
+    return passes
+
+
+def _best_pass(seconds: list[float], cold_predicts: int) -> dict:
+    best = min(seconds)
+    return {"records": cold_predicts,
+            "seconds": round(best, 4),
+            "records_per_s": round(cold_predicts / best, 1)}
+
+
+def measure_cold_serving(models: dict, dataset, probes, cold_predicts: int,
+                         repeats: int = 3) -> dict:
+    """Cold-path throughput of uncached predictions, one entry per model.
+
+    Each model reports its best of :func:`cold_serving_passes`.
+    """
+    passes = cold_serving_passes(models, dataset, probes, cold_predicts,
+                                 repeats)
+    return {name: _best_pass(seconds, cold_predicts)
+            for name, seconds in passes.items()}
 
 
 def measure_pool_cold_path(model, dataset, probes, cold_predicts: int,
@@ -226,11 +248,18 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
     # The same trained model served with the composed delta negative
     # sampler (sampler_mode="delta"): no per-predict O(V) alias rebuild.
     delta_model = model.with_sampler_mode("delta")
-    cold_by_mode = measure_cold_serving({"exact": model, "delta": delta_model},
-                                        dataset, probes,
-                                        sizes["cold_predicts"])
-    cold = cold_by_mode["exact"]
-    delta_cold = cold_by_mode["delta"]
+    passes = cold_serving_passes({"exact": model, "delta": delta_model},
+                                 dataset, probes, sizes["cold_predicts"],
+                                 repeats=AB_ROUNDS)
+    cold = _best_pass(passes["exact"], sizes["cold_predicts"])
+    delta_cold = _best_pass(passes["delta"], sizes["cold_predicts"])
+    # Same-round ratios: both modes of a round see the same host speed.
+    delta_rounds = sorted(exact / delta for exact, delta
+                          in zip(passes["exact"], passes["delta"]))
+    delta_speedup = statistics.median(delta_rounds)
+    print(f"delta-sampler cold-path speedup over {AB_ROUNDS} interleaved "
+          f"rounds: min {delta_rounds[0]:.2f} / median {delta_speedup:.2f} "
+          f"/ max {delta_rounds[-1]:.2f}")
     pool = measure_pool_cold_path(model, dataset, probes,
                                   sizes["cold_predicts"], pool_workers)
     traced = measure_traced_cold_path(model, dataset, probes,
@@ -253,7 +282,6 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
                 "records": len(parity_probes)}
 
     speedup = full_refit_seconds / max(online_seconds, 1e-9)
-    delta_speedup = delta_cold["records_per_s"] / cold["records_per_s"]
     rows = [
         {"approach": "online frozen-graph embedding (seconds per sample)",
          "value": round(online_seconds, 4)},
@@ -290,6 +318,9 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
                "delta_cold_path": delta_cold,
                "delta_traced_cold_path": delta_traced,
                "delta_speedup": round(delta_speedup, 2),
+               "delta_speedup_spread": [round(delta_rounds[0], 2),
+                                        round(delta_speedup, 2),
+                                        round(delta_rounds[-1], 2)],
                "pool_cold_path": {key: pool[key]
                                   for key in ("records", "seconds",
                                               "records_per_s",
@@ -308,10 +339,10 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
     # Accuracy-parity gate: the delta mode samples the same distribution,
     # so it must not cost floor-identification accuracy on the campus preset.
     assert accuracy["delta"] >= accuracy["exact"] - 1.0 / len(parity_probes)
-    # In-run speedup floor (the history gate holds the 1.3x line against
-    # the committed baseline; this catches a delta path that stopped
-    # paying for itself at all).
-    assert delta_speedup > 1.05
+    # In-run speedup floor on the median same-round ratio (the history gate
+    # holds the 1.3x line against the committed baseline; this catches a
+    # delta path that stopped paying for itself at all).
+    assert delta_speedup > 1.05, delta_rounds
     # Pool correctness is non-negotiable: chunked multi-process compute
     # must reproduce the in-process bytes exactly.  The speed floors are
     # deliberately loose — this container has a single CPU, so workers=1

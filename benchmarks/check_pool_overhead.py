@@ -43,7 +43,10 @@ from bench_online_inference import CONFIG, SMOKE
 MIN_POOLED_OVER_INPROCESS = 0.75
 
 #: Interleaved in-process/pooled rounds the ratio check medians over.
-AB_ROUNDS = 5
+#: Five rounds have read 0.74 against the 0.75 floor with no code change: the
+#: per-round spread on a shared 2-CPU host is wider than five samples can
+#: pin a median inside, so the check takes eleven.
+AB_ROUNDS = 11
 
 
 def _service(model, building_id: str, workers: int) -> FloorServingService:
@@ -105,9 +108,9 @@ def check_dispatch_overhead(model, dataset, probes) -> float:
         pooled.close()
     ratio = statistics.median(ratios)
     print(f"sequential cold path over {AB_ROUNDS} interleaved rounds: "
-          f"median pooled/in-process {ratio:.2f} "
-          f"(floor {MIN_POOLED_OVER_INPROCESS}); "
-          f"per-round ratios {[f'{r:.2f}' for r in ratios]}")
+          f"pooled/in-process min {min(ratios):.2f} / median {ratio:.2f} / "
+          f"max {max(ratios):.2f} (floor {MIN_POOLED_OVER_INPROCESS} on "
+          f"the median); per-round ratios {[f'{r:.2f}' for r in ratios]}")
     assert ratio >= MIN_POOLED_OVER_INPROCESS, (
         f"workers=1 sequential dispatch overhead exceeded budget (median "
         f"pooled/in-process ratio {ratio:.2f} over {AB_ROUNDS} interleaved "

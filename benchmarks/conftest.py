@@ -1,9 +1,10 @@
 """Shared fixtures and helpers for the figure-reproduction benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures on the
-synthetic stand-in corpora (see DESIGN.md for the substitution rationale),
-prints the resulting table and writes it to ``benchmarks/results/`` so the
-numbers recorded in EXPERIMENTS.md can be re-derived.
+synthetic stand-in corpora of ``repro.data`` (see the README's package
+layout), prints the resulting table and writes it to
+``benchmarks/results/`` so its numbers can be re-derived (the README's
+"Verifying" section shows how benchmarks are run).
 
 The corpora are deliberately scaled down (records per floor, number of
 buildings) so the full benchmark suite runs on a laptop in tens of minutes;

@@ -21,23 +21,35 @@ behind it:
   rejection path are byte-for-byte the code the in-process mode runs.
   Only the engine work moves, so pooled predictions are byte-identical to
   in-process ones (test-enforced) — online inference is deterministic and
-  a pickled model predicts exactly like its source.
-* **Large batches split across workers.**  ``independent=True`` inference
-  is per-record deterministic and independent of batch composition (the
-  invariant the cache and micro-batcher already rely on), so one miss
-  group chunks across the pool without changing a single output byte —
-  this is what converts cold `predict_batch` from a single-core ceiling
-  into a per-core-scaling path.
+  a pickled model predicts exactly like its source.  Errors keep the
+  in-process order too: a call raises the error of the earliest failing
+  group in plan order.
+* **One message per worker per request.**  ``independent=True``
+  inference is per-record deterministic and independent of batch
+  composition (the invariant the cache and micro-batcher already rely
+  on), so a request's miss groups can be cut anywhere without changing a
+  single output byte.  :meth:`ComputePool.compute` takes *every* miss
+  group of a request at once, picks ``clamp(total // MIN_CHUNK_RECORDS,
+  1, workers)`` workers, cuts each group into that many contiguous
+  slices (the remainder rotating across workers, so per-worker record
+  totals differ by at most one) and sends each worker **one** task
+  holding its slice of every group.  The worker runs its slices in group
+  order and returns per-slice outcomes; the parent reassembles one flat
+  prediction list in group order.  A request is therefore one barrier,
+  not one per building — this is what converts cold `predict_batch` from
+  a single-core ceiling into a per-core-scaling path.
 * **Faults stay deterministic.**  The parent evaluates the
   ``serve.compute`` failpoint (one process-global hit counter, seeded RNG
   streams intact) and ships the resulting directives; the worker executes
   them — raising :class:`~repro.faults.plan.FaultInjected`, sleeping, or
   hard-exiting on a ``kill`` (the pool-mode analogue of ``ProcessKilled``:
   the process that dies at ``serve.compute`` is the one computing).
-  Worker death is detected via the process sentinel, surfaces as
-  :class:`WorkerCrashError` (a retryable rejection on the micro-batched
-  path, never a hang), and the pool respawns the worker with a fresh
-  snapshot cache.
+  Directives ride only on the message carrying group 0's first slice and
+  run before any compute in it: one ``serve.compute`` hit per call, as
+  in-process.  Worker death is detected via the process sentinel,
+  surfaces as :class:`WorkerCrashError` (a retryable rejection on the
+  micro-batched path, never a hang), and the pool respawns the worker
+  with a fresh snapshot cache.
 
 The default start method is ``"spawn"``: safe regardless of what threads
 and locks the parent holds when a worker (re)starts, at the cost of
@@ -65,9 +77,31 @@ from ..obs.log import log_event
 
 __all__ = ["ComputePool", "WorkerCrashError"]
 
-#: Smallest chunk worth a dedicated dispatch: below this, IPC overhead
-#: outweighs the parallelism, so small groups ride in one task.
+#: Fewest records worth a worker of their own: a call engages one worker
+#: per this many records (at most the pool size), because below it the
+#: IPC round trip outweighs the parallelism.
 MIN_CHUNK_RECORDS = 8
+
+
+def _slice_bounds(sizes: list[int], workers: int) -> list[list[tuple]]:
+    """Cut each group into ``workers`` contiguous ``(start, end)`` slices.
+
+    Each group splits evenly; its remainder records go one each to the
+    next workers in a rotation carried across groups, so per-worker record
+    totals over the whole call differ by at most one.  The rotation starts
+    at worker 0, which therefore holds group 0's first (non-empty) slice.
+    """
+    bounds, offset = [], 0
+    for size in sizes:
+        base, extra = divmod(size, workers)
+        group, start = [], 0
+        for slot in range(workers):
+            end = start + base + ((slot - offset) % workers < extra)
+            group.append((start, end))
+            start = end
+        bounds.append(group)
+        offset = (offset + extra) % workers
+    return bounds
 
 
 class WorkerCrashError(RuntimeError):
@@ -100,7 +134,13 @@ def _execute_directives(directives) -> None:
 def _pool_worker_main(conn: Connection, worker_index: int) -> None:
     """Long-lived worker loop: receive tasks, compute, send results.
 
-    Holds at most one snapshot per building — a task carrying a newer
+    A task holds this worker's slice of every miss group of one request,
+    in group order, plus the fault directives when it carries group 0's
+    first slice.  Directives run first, then the slices in order; the
+    reply holds one outcome per slice, ending at the first failing slice
+    (a later group can never be the earliest failure of the request).
+
+    Holds at most one snapshot per building — a slice carrying a newer
     generation drops the superseded pickle before installing the new one,
     so worker memory is bounded by the registry size, not by swap churn.
     """
@@ -113,39 +153,47 @@ def _pool_worker_main(conn: Connection, worker_index: int) -> None:
         if message[0] == "shutdown":
             conn.close()
             return
-        _, task_id, building_id, generation, model, records, directives = message
-        key = (building_id, generation)
-        if model is not None:
-            for stale in [k for k in snapshots if k[0] == building_id]:
-                del snapshots[stale]
-            snapshots[key] = model
-        snapshot = snapshots.get(key)
-        if snapshot is None:
-            conn.send(("err", task_id, RuntimeError(
-                f"worker {worker_index} has no snapshot for {key!r}")))
-            continue
+        _, task_id, directives, slices = message
+        outcomes: list[tuple] = []
         try:
             _execute_directives(directives)
-            start = time.perf_counter()
-            predictions = snapshot.predict_batch(list(records),
-                                                 independent=True)
-            seconds = time.perf_counter() - start
         except Exception as error:  # shipped back, re-raised parent-side
+            outcomes.append(("err", error))
+            slices = ()
+        for building_id, generation, model, records in slices:
+            key = (building_id, generation)
+            if model is not None:
+                for stale in [k for k in snapshots if k[0] == building_id]:
+                    del snapshots[stale]
+                snapshots[key] = model
+            snapshot = snapshots.get(key)
             try:
-                conn.send(("err", task_id, error))
-            except Exception:
-                conn.send(("err", task_id, RuntimeError(repr(error))))
-        else:
-            conn.send(("ok", task_id, predictions,
-                       {"compute_seconds": seconds,
-                        "records": len(predictions)}))
+                if snapshot is None:
+                    raise RuntimeError(
+                        f"worker {worker_index} has no snapshot for {key!r}")
+                start = time.perf_counter()
+                predictions = snapshot.predict_batch(list(records),
+                                                     independent=True)
+                seconds = time.perf_counter() - start
+            except Exception as error:
+                outcomes.append(("err", error))
+                break
+            outcomes.append(("ok", predictions, seconds))
+        try:
+            conn.send(("done", task_id, outcomes))
+        except Exception:
+            # An unpicklable error: ship its repr instead.
+            conn.send(("done", task_id, [
+                outcome if outcome[0] == "ok"
+                else ("err", RuntimeError(repr(outcome[1])))
+                for outcome in outcomes]))
 
 
 def _canonicalize(predictions) -> None:
     """Restore dtype-object identity on unpickled prediction embeddings.
 
     Unpickling an ndarray yields a fresh ``dtype`` instance instead of
-    numpy's builtin singleton, so two chunks unpickled from two workers
+    numpy's builtin singleton, so two slices unpickled from two workers
     carry two distinct (equal) dtype objects where the in-process path has
     one.  Per-prediction bytes are unaffected, but a combined pickle of a
     whole batch memoizes by identity and would differ.  Re-binding the
@@ -160,13 +208,16 @@ def _canonicalize(predictions) -> None:
 
 
 class _Task:
-    """Parent-side handle for one dispatched chunk."""
+    """Parent-side handle for one worker's message of a call."""
 
-    __slots__ = ("done", "outcome")
+    __slots__ = ("groups", "done", "outcome")
 
-    def __init__(self) -> None:
+    def __init__(self, groups: list[int]) -> None:
+        #: Group index of each slice in the message, in message order.
+        self.groups = groups
         self.done = threading.Event()
-        self.outcome: tuple | None = None  # ("ok", preds, stats) | ("err", e)
+        #: ``("done", [per-slice outcome])`` or ``("err", WorkerCrashError)``.
+        self.outcome: tuple | None = None
 
     def resolve(self, outcome: tuple) -> None:
         self.outcome = outcome
@@ -174,30 +225,40 @@ class _Task:
 
 
 class _PoolCall:
-    """All chunks of one ``submit``; reassembles outputs in input order."""
+    """All messages of one ``submit``; reassembles outputs in group order."""
 
-    __slots__ = ("_pool", "_tasks")
+    __slots__ = ("_pool", "_tasks", "_num_groups")
 
-    def __init__(self, pool: "ComputePool", tasks: list[_Task]) -> None:
+    def __init__(self, pool: "ComputePool", tasks: list[_Task],
+                 num_groups: int) -> None:
         self._pool = pool
-        self._tasks = tasks
+        self._tasks = tasks  # in slot order: a group's slices in input order
+        self._num_groups = num_groups
 
     def result(self) -> list:
-        predictions: list = []
-        error: BaseException | None = None
+        parts: list[list] = [[] for _ in range(self._num_groups)]
+        errors: dict[int, BaseException] = {}
         for task in self._tasks:
             task.done.wait()
-            kind = task.outcome[0]
-            if kind == "ok":
-                _, chunk, stats = task.outcome
-                _canonicalize(chunk)
-                predictions.extend(chunk)
-                self._pool._record_chunk_stats(stats)
-            elif error is None:
-                error = task.outcome[1]
-        if error is not None:
-            raise error
-        return predictions
+            kind, payload = task.outcome
+            if kind == "err":  # the worker died: every slice failed
+                for group in task.groups:
+                    errors.setdefault(group, payload)
+                continue
+            # Slices past the outcomes were skipped after an earlier
+            # group's failure, which is then the error raised.
+            for group, outcome in zip(task.groups, payload):
+                if outcome[0] == "ok":
+                    _, predictions, seconds = outcome
+                    _canonicalize(predictions)
+                    parts[group].append(predictions)
+                    self._pool._record_slice_stats(seconds, len(predictions))
+                else:
+                    errors.setdefault(group, outcome[1])
+        if errors:
+            raise errors[min(errors)]
+        return [prediction for group in parts for predictions in group
+                for prediction in predictions]
 
 
 class _Worker:
@@ -337,66 +398,76 @@ class ComputePool:
         self.close()
 
     # -------------------------------------------------------------- dispatch
-    def submit(self, building_id: str, model, records,
-               directives=None) -> _PoolCall:
-        """Dispatch one miss group's compute; returns a waitable handle.
+    def submit(self, groups, directives=None) -> _PoolCall:
+        """Dispatch a request's miss groups; returns a waitable handle.
 
-        The group is split into at most ``num_workers`` chunks (none
-        smaller than :data:`MIN_CHUNK_RECORDS`), each sent to the
-        least-loaded worker — preferring, on ties, a worker that already
-        holds this ``(building, generation)`` snapshot so models ship as
-        rarely as possible.  Fault ``directives`` (parent-evaluated
-        ``serve.compute`` decisions) ride with the first chunk only: one
-        failpoint hit per group, exactly like the in-process path.
+        ``groups`` is ``[(building_id, model, records), ...]`` in plan
+        order.  The call engages ``clamp(total // MIN_CHUNK_RECORDS, 1,
+        workers)`` workers — the least loaded, preferring on ties those
+        already holding the groups' ``(building, generation)`` snapshots
+        so models ship as rarely as possible — and sends each **one**
+        message with its contiguous slice of every group (see
+        :func:`_slice_bounds`).  Fault ``directives`` (parent-evaluated
+        ``serve.compute`` decisions) ride only on the message carrying
+        group 0's first slice: one failpoint hit per call, exactly like
+        the in-process path.  ``compute_pool_dispatch_total`` counts one
+        per non-empty (worker, group) slice and a snapshot ships at most
+        once per slice, so ships never exceed dispatches.
         """
-        records = list(records)
-        chunks = self._chunk(records)
-        tasks: list[_Task] = []
+        groups = [(building_id, model, list(records))
+                  for building_id, model, records in groups]
+        sizes = [len(records) for _, _, records in groups]
         with self._lock:
             if self._closed:
                 raise WorkerCrashError("compute pool is closed")
-            generation = self._generation_for(building_id, model)
-            key = (building_id, generation)
-            for chunk_index, chunk in enumerate(chunks):
-                worker = min(
-                    self._workers,
-                    key=lambda w: (len(w.inflight), key not in w.shipped,
-                                   w.index))
-                payload_model = None
-                if key not in worker.shipped:
-                    payload_model = model
-                    worker.shipped.add(key)
-                    self._increment("compute_pool_snapshot_ships_total")
-                task = _Task()
+            keys = [(building_id, self._generation_for(building_id, model))
+                    for building_id, model, _ in groups]
+            used = min(self.num_workers,
+                       max(1, sum(sizes) // MIN_CHUNK_RECORDS))
+            workers = sorted(
+                self._workers,
+                key=lambda w: (len(w.inflight),
+                               sum(key not in w.shipped for key in keys),
+                               w.index))[:used]
+            bounds = _slice_bounds(sizes, used)
+            tasks: list[_Task] = []
+            for slot, worker in enumerate(workers):
+                slices, slice_groups = [], []
+                for group, ((building_id, model, records), key) in enumerate(
+                        zip(groups, keys)):
+                    start, end = bounds[group][slot]
+                    if start == end:
+                        continue
+                    payload_model = None
+                    if key not in worker.shipped:
+                        payload_model = model
+                        worker.shipped.add(key)
+                        self._increment("compute_pool_snapshot_ships_total")
+                    self._increment("compute_pool_dispatch_total")
+                    slices.append((building_id, key[1], payload_model,
+                                   records[start:end]))
+                    slice_groups.append(group)
+                if not slices:
+                    continue
+                task = _Task(slice_groups)
                 task_id = next(self._task_ids)
                 worker.inflight[task_id] = task
                 tasks.append(task)
-                self._increment("compute_pool_dispatch_total")
-                worker.outbox.put((
-                    "task", task_id, building_id, generation,
-                    payload_model, chunk,
-                    directives if chunk_index == 0 else None))
+                # Slot 0 holds group 0's first slice (the remainder
+                # rotation starts there), so it carries the directives.
+                worker.outbox.put(("task", task_id,
+                                   directives if slot == 0 else None,
+                                   slices))
             self._set_queue_depth_locked()
-        return _PoolCall(self, tasks)
+        return _PoolCall(self, tasks, len(groups))
 
-    def compute(self, building_id: str, model, records,
-                directives=None) -> list:
-        """Blocking convenience: ``submit(...)`` + ``result()``."""
-        return self.submit(building_id, model, records,
-                           directives=directives).result()
+    def compute(self, groups, directives=None) -> list:
+        """Blocking convenience: ``submit(...)`` + ``result()``.
 
-    def _chunk(self, records: list) -> list[list]:
-        if len(records) <= MIN_CHUNK_RECORDS or self.num_workers == 1:
-            return [records]
-        chunks = min(self.num_workers,
-                     max(1, len(records) // MIN_CHUNK_RECORDS))
-        size, remainder = divmod(len(records), chunks)
-        out, start = [], 0
-        for i in range(chunks):
-            end = start + size + (1 if i < remainder else 0)
-            out.append(records[start:end])
-            start = end
-        return out
+        Returns one flat prediction list, group after group, each group's
+        predictions in its records' order.
+        """
+        return self.submit(groups, directives=directives).result()
 
     def _generation_for(self, building_id: str, model) -> int:
         entry = self._generations.get(building_id)
@@ -450,10 +521,7 @@ class ComputePool:
             self._set_queue_depth_locked()
         if task is None:
             return  # already failed by a death handler
-        if kind == "ok":
-            task.resolve(("ok", message[2], message[3]))
-        else:
-            task.resolve(("err", message[2]))
+        task.resolve((kind, message[2]))
 
     def _handle_death(self, worker: _Worker) -> None:
         """A worker died: fail its inflight work, respawn it fresh."""
@@ -494,17 +562,15 @@ class ComputePool:
             depth = sum(len(w.inflight) for w in self._workers)
             self.telemetry.set_gauge("compute_pool_queue_depth", depth)
 
-    def _record_chunk_stats(self, stats: dict) -> None:
-        """Fold one chunk's worker-side measurements into parent telemetry."""
+    def _record_slice_stats(self, seconds: float, records: int) -> None:
+        """Fold one slice's worker-side measurements into parent telemetry."""
         if self.telemetry is not None:
-            self.telemetry.observe("batch_seconds", stats["compute_seconds"])
+            self.telemetry.observe("batch_seconds", seconds)
             self.telemetry.increment("batches_total")
-            self.telemetry.increment("batched_records_total",
-                                     stats["records"])
+            self.telemetry.increment("batched_records_total", records)
         # Pre-aggregated worker span: visible in traces without the worker
         # needing any parent-side tracer state.
-        obs.stage("serving.pool_compute", stats["compute_seconds"],
-                  {"records": stats["records"]})
+        obs.stage("serving.pool_compute", seconds, {"records": records})
 
     def stats(self) -> dict[str, int | str]:
         """Pool gauges for telemetry snapshots and scorecards."""

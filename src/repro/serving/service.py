@@ -144,37 +144,41 @@ def _compute_plan(records: Sequence[SignalRecord], plan: _ServePlan,
     the thread-safe telemetry is touched.  Returns one prediction list per
     planned miss group, in plan order.
 
-    With a ``pool``, each miss group's engine work runs in worker
-    processes against the shipped model snapshot (byte-identical output:
-    ``independent=True`` inference is per-record deterministic and a
-    pickled model predicts exactly like its source).  The ``serve.compute``
-    failpoint is still evaluated here, in the parent — one hit per call,
-    same process-global counter as the in-process fire — but its effect
-    executes inside the worker computing the first miss group; a batch of
-    pure cache hits counts the hit with no compute left to fault.  The
-    pool records compute timings and batch counters itself, from the
-    workers' own measurements.
+    With a ``pool``, the plan's miss groups go to worker processes in one
+    :meth:`~repro.serving.pool.ComputePool.compute` call, computed against
+    the shipped model snapshots (byte-identical output: ``independent=True``
+    inference is per-record deterministic and a pickled model predicts
+    exactly like its source).  The ``serve.compute`` failpoint is still
+    evaluated here, in the parent — one hit per call, same process-global
+    counter as the in-process fire — but its effect executes inside the
+    worker computing the first miss group's first slice; a batch of pure
+    cache hits counts the hit with no compute left to fault.  The pool
+    records compute timings and batch counters itself, from the workers'
+    own measurements.
     """
     with obs.span("serving.compute") as compute_span:
-        if pool is None:
-            directives = None
-            failpoints.fire("serve.compute")
-        else:
+        if pool is not None:
+            groups = [(building_id, model, [records[i] for i in miss])
+                      for building_id, model, miss in plan.misses]
             directives = failpoints.evaluate("serve.compute")
+            flat = pool.compute(groups, directives=directives) \
+                if groups else []
+            outputs, start = [], 0
+            for _, _, batch in groups:
+                outputs.append(flat[start:start + len(batch)])
+                start += len(batch)
+            compute_span.set("records", len(flat))
+            return outputs
+        failpoints.fire("serve.compute")
         outputs = []
         computed = 0
-        for index, (building_id, model, miss) in enumerate(plan.misses):
+        for building_id, model, miss in plan.misses:
             batch = [records[i] for i in miss]
-            if pool is None:
-                with telemetry.time("batch_seconds"):
-                    floor_predictions = model.predict_batch(batch,
-                                                            independent=True)
-                telemetry.increment("batches_total")
-                telemetry.increment("batched_records_total", len(batch))
-            else:
-                floor_predictions = pool.compute(
-                    building_id, model, batch,
-                    directives=directives if index == 0 else None)
+            with telemetry.time("batch_seconds"):
+                floor_predictions = model.predict_batch(batch,
+                                                        independent=True)
+            telemetry.increment("batches_total")
+            telemetry.increment("batched_records_total", len(batch))
             computed += len(batch)
             outputs.append(floor_predictions)
         compute_span.set("records", computed)
@@ -279,9 +283,9 @@ def _dispatch_batch(batch: Batch, *, lock,
             directives = failpoints.evaluate("serve.compute",
                                              building_id=batch.building_id)
             try:
-                floor_predictions = pool.compute(batch.building_id, model,
-                                                 records,
-                                                 directives=directives)
+                floor_predictions = pool.compute(
+                    [(batch.building_id, model, records)],
+                    directives=directives)
             except (UnknownEnvironmentError, WorkerCrashError) as error:
                 reject_all(str(error))
                 return

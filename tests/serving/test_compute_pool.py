@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +24,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from serving_helpers import clone_registry, interleaved_probes, make_service  # noqa: E402
 
 from repro.core.pipeline import GRAFICS  # noqa: E402
+from repro.data import make_experiment_split, small_test_building  # noqa: E402
+from repro.obs.health import HealthMonitor  # noqa: E402
 from repro.serving import (  # noqa: E402
     ComputePool,
     FloorServingService,
@@ -30,7 +33,9 @@ from repro.serving import (  # noqa: E402
     ShardedServingService,
     WorkerCrashError,
 )
+from repro.serving.pool import MIN_CHUNK_RECORDS, _slice_bounds  # noqa: E402
 from repro.serving.service import _ServePlan  # noqa: E402
+from repro.serving.telemetry import ServingTelemetry  # noqa: E402
 
 # Workers are started with fork throughout (milliseconds instead of a full
 # interpreter start per worker); the dedicated spawn test below covers the
@@ -111,7 +116,7 @@ class TestPickleRoundTrips:
         probes = held_out["bldg-north"][:6]
         expected = model.predict_batch(list(probes), independent=True)
         with ComputePool(1, start_method="spawn") as pool:
-            got = pool.compute("bldg-north", model, probes)
+            got = pool.compute([("bldg-north", model, probes)])
         assert pickle.dumps(got) == pickle.dumps(expected)
 
 
@@ -299,4 +304,240 @@ class TestPoolLifecycle:
         service.close()
         model = registry.model_for("bldg-north")
         with pytest.raises(WorkerCrashError, match="closed"):
-            pool.compute("bldg-north", model, held_out["bldg-north"][:2])
+            pool.compute([("bldg-north", model, held_out["bldg-north"][:2])])
+
+
+# --------------------------------------------------------------------------
+# Group-aware dispatch: one message per worker per call
+# --------------------------------------------------------------------------
+class _FailingModel:
+    """A picklable stand-in model whose every prediction raises ``tag``."""
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+
+    def predict_batch(self, records, independent=False):
+        raise ValueError(self.tag)
+
+
+class _RecordingOutbox:
+    """Wraps a worker's outbox, keeping every task message put on it."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.tasks: list[tuple] = []
+
+    def put(self, message) -> None:
+        if message is not None and message[0] == "task":
+            self.tasks.append(message)
+        self.inner.put(message)
+
+    def get(self):
+        return self.inner.get()
+
+
+def _record_outboxes(pool: ComputePool) -> list[_RecordingOutbox]:
+    outboxes = []
+    for worker in pool._workers:
+        worker.outbox = _RecordingOutbox(worker.outbox)
+        outboxes.append(worker.outbox)
+    return outboxes
+
+
+def _mixed_groups(serving_corpus, sizes=(1, 3, 7, 17)):
+    """Groups of the given sizes over four building ids and two models."""
+    registry, held_out, _ = serving_corpus
+    north = registry.model_for("bldg-north")
+    south = registry.model_for("bldg-south")
+    sources = [("bldg-north", north, held_out["bldg-north"]),
+               ("bldg-south", south, held_out["bldg-south"]),
+               ("bldg-north-annex", north, held_out["bldg-north"][20:]),
+               ("bldg-south-annex", south, held_out["bldg-south"][20:])]
+    return [(building_id, model, records[:size])
+            for (building_id, model, records), size in zip(sources, sizes)]
+
+
+def _in_process(groups) -> list:
+    return [prediction for _, model, records in groups
+            for prediction in model.predict_batch(list(records),
+                                                  independent=True)]
+
+
+class TestGroupDispatch:
+    def test_slice_bounds_contiguous_and_balanced(self):
+        for sizes in ([1, 3, 7, 17], [16], [5, 5, 5], [0, 9, 2], [40, 1]):
+            for workers in (1, 2, 3, 4):
+                bounds = _slice_bounds(sizes, workers)
+                totals = [0] * workers
+                for size, group in zip(sizes, bounds):
+                    assert group[0][0] == 0 and group[-1][1] == size
+                    for (_, end), (start, _) in zip(group, group[1:]):
+                        assert end == start
+                    for slot, (start, end) in enumerate(group):
+                        totals[slot] += end - start
+                assert max(totals) - min(totals) <= 1
+                # The rotation starts at slot 0, which holds group 0's
+                # first slice whenever group 0 has records.
+                if sizes[0]:
+                    assert bounds[0][0][1] > 0
+
+    def test_mixed_group_sizes_byte_identical(self, serving_corpus):
+        groups = _mixed_groups(serving_corpus)
+        assert sum(len(r) for _, _, r in groups) >= 2 * MIN_CHUNK_RECORDS
+        expected = _in_process(groups)
+        with ComputePool(2, start_method="fork") as pool:
+            for _ in range(2):  # cold (snapshots ship), then resident
+                got = pool.compute(groups)
+                assert pickle.dumps(got) == pickle.dumps(expected)
+
+    def test_each_worker_gets_at_most_one_task_per_call(self,
+                                                        serving_corpus):
+        groups = _mixed_groups(serving_corpus)
+        with ComputePool(2, start_method="fork") as pool:
+            outboxes = _record_outboxes(pool)
+            for call in range(1, 4):
+                pool.compute(groups)
+                assert [len(o.tasks) for o in outboxes] == [call, call]
+            # A call under 2 * MIN_CHUNK_RECORDS engages one worker only.
+            pool.compute(_mixed_groups(serving_corpus, sizes=(1, 3, 7, 2)))
+            assert sum(len(o.tasks) for o in outboxes) == 7
+
+    def test_earliest_failing_group_error_is_raised(self, serving_corpus):
+        registry, held_out, _ = serving_corpus
+        north = registry.model_for("bldg-north")
+        probes = held_out["bldg-north"]
+        # With two workers, group 1's single record lands on the second
+        # worker only, while group 2 fails on both: the first worker's
+        # reply names the later group, and must not win.
+        groups = [("bldg-north", north, probes[:1]),
+                  ("bldg-first", _FailingModel("first"), probes[1:2]),
+                  ("bldg-second", _FailingModel("second"), probes[2:19])]
+        with pytest.raises(ValueError, match="first"):
+            _in_process(groups)
+        with ComputePool(2, start_method="fork") as pool:
+            with pytest.raises(ValueError, match="first"):
+                pool.compute(groups)
+            # The failure leaves the pool serving.
+            clean = groups[:1]
+            assert pickle.dumps(pool.compute(clean)) == \
+                   pickle.dumps(_in_process(clean))
+
+    def test_concurrent_calls_stay_byte_identical(self, serving_corpus):
+        """Calls from several threads interleave their messages on the
+        same workers; each still gets exactly its own predictions."""
+        layouts = [(1, 3, 7, 17), (9, 9, 0, 0), (2, 2, 2, 2), (17, 1, 1, 1)]
+        cases = []
+        for sizes in layouts:
+            groups = [g for g in _mixed_groups(serving_corpus, sizes=sizes)
+                      if g[2]]
+            cases.append((groups, pickle.dumps(_in_process(groups))))
+        failures: list[str] = []
+        with ComputePool(2, start_method="fork") as pool:
+            def caller(index: int) -> None:
+                groups, expected = cases[index % len(cases)]
+                for _ in range(4):
+                    if pickle.dumps(pool.compute(groups)) != expected:
+                        failures.append(f"caller {index}")
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool.stats()["queue_depth"] == 0
+        assert failures == []
+
+    def test_latency_directive_delays_exactly_one_message(self,
+                                                          serving_corpus):
+        groups = _mixed_groups(serving_corpus)
+        delay = 1.0
+        directives = [{"kind": "latency", "delay_seconds": delay,
+                       "message": "injected latency"}]
+        with ComputePool(2, start_method="fork") as pool:
+            pool.compute(groups)  # ship snapshots outside the timing
+            outboxes = _record_outboxes(pool)
+            start = time.perf_counter()
+            call = pool.submit(groups, directives=directives)
+            delayed, undelayed = call._tasks
+            assert undelayed.done.wait(timeout=30.0)
+            if time.perf_counter() - start < delay * 0.9:
+                assert not delayed.done.is_set()
+            got = call.result()
+            assert time.perf_counter() - start >= delay
+        carried = [task for outbox in outboxes for task in outbox.tasks
+                   if task[2] is not None]
+        assert len(carried) == 1
+        # It is the message holding group 0's first slice.
+        assert carried[0][3][0][0] == groups[0][0]
+        assert carried[0][3][0][3][0] is groups[0][2][0]
+        assert pickle.dumps(got) == pickle.dumps(_in_process(groups))
+
+    def test_kill_directive_crashes_restarts_and_recovers(self,
+                                                         serving_corpus):
+        groups = _mixed_groups(serving_corpus)
+        expected = _in_process(groups)
+        telemetry = ServingTelemetry()
+        with ComputePool(2, telemetry=telemetry,
+                         start_method="fork") as pool:
+            with pytest.raises(WorkerCrashError, match="died"):
+                pool.compute(groups, directives=[
+                    {"kind": "kill", "delay_seconds": 0.0,
+                     "message": "injected kill"}])
+            deadline = time.monotonic() + 10.0
+            while (telemetry.counter("compute_pool_worker_restarts_total")
+                   == 0 and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert telemetry.counter(
+                "compute_pool_worker_restarts_total") == 1
+            assert pickle.dumps(pool.compute(groups)) == \
+                   pickle.dumps(expected)
+            assert telemetry.counter(
+                "compute_pool_worker_restarts_total") == 1
+
+
+@pytest.fixture(scope="module")
+def four_building_registry(serving_corpus):
+    """The serving corpus plus two more trained buildings."""
+    registry, held_out, _ = serving_corpus
+    registry = clone_registry(registry)
+    held_out = dict(held_out)
+    for building_id, seed in (("bldg-east", 43), ("bldg-west", 44)):
+        dataset = small_test_building(num_floors=3, records_per_floor=40,
+                                      aps_per_floor=20, seed=seed,
+                                      building_id=building_id)
+        split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
+        registry.fit_building(dataset.subset(split.train_records),
+                              split.labels)
+        held_out[building_id] = [r.without_floor()
+                                 for r in split.test_records]
+    return registry, held_out
+
+
+def test_snapshot_hit_rate_on_first_mixed_building_batch(
+        four_building_registry, fake_clock):
+    """A fresh 2-worker pool's first 4-building batch ships a snapshot per
+    (worker, building) slice; counting dispatches per slice keeps ships
+    at most dispatches, so the health monitor's snapshot hit rate is a
+    true rate — 0 on the cold batch, rising once snapshots are resident."""
+    registry, held_out = four_building_registry
+    probes = interleaved_probes(held_out, per_building=6)
+    with make_service(registry, fake_clock, enable_cache=False,
+                      **FORK) as service:
+        monitor = HealthMonitor(service, clock=fake_clock)
+        service.predict_batch(probes)
+        counters = service.telemetry_snapshot()["counters"]
+        dispatches = counters["compute_pool_dispatch_total"]
+        ships = counters["compute_pool_snapshot_ships_total"]
+        assert ships == dispatches == 8  # 4 buildings x 2 workers, cold
+        fake_clock.advance(5.0)
+        metrics = monitor.report()["service"]["metrics"]
+        assert metrics["compute_pool_snapshot_hit_rate"] == 0.0
+        service.predict_batch(probes)
+        counters = service.telemetry_snapshot()["counters"]
+        assert counters["compute_pool_snapshot_ships_total"] == ships
+        assert counters["compute_pool_snapshot_ships_total"] <= \
+               counters["compute_pool_dispatch_total"]
+        fake_clock.advance(5.0)
+        metrics = monitor.report()["service"]["metrics"]
+        assert 0.0 < metrics["compute_pool_snapshot_hit_rate"] <= 1.0
