@@ -90,6 +90,15 @@ def _slice_bounds(sizes: list[int], workers: int) -> list[list[tuple]]:
     next workers in a rotation carried across groups, so per-worker record
     totals over the whole call differ by at most one.  The rotation starts
     at worker 0, which therefore holds group 0's first (non-empty) slice.
+
+    Every group is split across every engaged worker, rather than the
+    call's records being cut into one range per worker, because a record's
+    cost depends on its building (the size of the graph it joins): equal
+    record counts are equal work only when each worker gets the same mix
+    of buildings.  On ``bulk_cold`` (2-CPU host, six interleaved runs)
+    the single-range cut served about 7% fewer records per second with a
+    15% higher batch p90.  The price is a snapshot of every building on
+    every engaged worker, which a warmed pool holds anyway.
     """
     bounds, offset = [], 0
     for size in sizes:
@@ -136,9 +145,12 @@ def _pool_worker_main(conn: Connection, worker_index: int) -> None:
 
     A task holds this worker's slice of every miss group of one request,
     in group order, plus the fault directives when it carries group 0's
-    first slice.  Directives run first, then the slices in order; the
-    reply holds one outcome per slice, ending at the first failing slice
-    (a later group can never be the earliest failure of the request).
+    first slice.  Every snapshot the task ships is installed first: the
+    parent counts it as held from the moment it sends it, so a failing
+    directive or slice must not drop it.  Then the directives run, then
+    the slices in order; the reply holds one outcome per slice, ending at
+    the first failure (a later group can never be the earliest failure of
+    the request).
 
     Holds at most one snapshot per building — a slice carrying a newer
     generation drops the superseded pickle before installing the new one,
@@ -154,31 +166,27 @@ def _pool_worker_main(conn: Connection, worker_index: int) -> None:
             conn.close()
             return
         _, task_id, directives, slices = message
-        outcomes: list[tuple] = []
-        try:
-            _execute_directives(directives)
-        except Exception as error:  # shipped back, re-raised parent-side
-            outcomes.append(("err", error))
-            slices = ()
-        for building_id, generation, model, records in slices:
-            key = (building_id, generation)
+        for building_id, generation, model, _ in slices:
             if model is not None:
                 for stale in [k for k in snapshots if k[0] == building_id]:
                     del snapshots[stale]
-                snapshots[key] = model
-            snapshot = snapshots.get(key)
-            try:
+                snapshots[(building_id, generation)] = model
+        outcomes: list[tuple] = []
+        try:
+            _execute_directives(directives)
+            for building_id, generation, _, records in slices:
+                key = (building_id, generation)
+                snapshot = snapshots.get(key)
                 if snapshot is None:
                     raise RuntimeError(
                         f"worker {worker_index} has no snapshot for {key!r}")
                 start = time.perf_counter()
                 predictions = snapshot.predict_batch(list(records),
                                                      independent=True)
-                seconds = time.perf_counter() - start
-            except Exception as error:
-                outcomes.append(("err", error))
-                break
-            outcomes.append(("ok", predictions, seconds))
+                outcomes.append(("ok", predictions,
+                                 time.perf_counter() - start))
+        except Exception as error:  # shipped back, re-raised parent-side
+            outcomes.append(("err", error))
         try:
             conn.send(("done", task_id, outcomes))
         except Exception:

@@ -116,6 +116,24 @@ class TestDirectiveRoundTrips:
             assert service.telemetry.counter(
                 "compute_pool_worker_restarts_total") == 0
 
+    def test_error_directive_keeps_the_shipped_snapshot(self, corpus):
+        """The failing call is the worker's first, so it carries the
+        snapshot; the worker installs it before running the directive,
+        and the next call computes against it."""
+        registry, probes, FakeClock = corpus
+        control = make_service(registry, FakeClock(), enable_cache=False)
+        expected = control.predict_batch(probes[3:6])
+        with make_service(registry, FakeClock(), enable_cache=False,
+                          **FORK) as service:
+            plan = FaultPlan(seed=0).fail("serve.compute", hits=[1])
+            with faults.active(plan):
+                with pytest.raises(FaultInjected):
+                    service.predict_batch(probes[:3])
+                got = service.predict_batch(probes[3:6])
+            assert pickle.dumps(got) == pickle.dumps(expected)
+            assert service.telemetry.counter(
+                "compute_pool_snapshot_ships_total") == 1
+
     def test_latency_directive_executes_without_changing_bytes(self, corpus):
         registry, probes, FakeClock = corpus
         control = make_service(registry, FakeClock(), enable_cache=False)

@@ -422,6 +422,29 @@ class TestGroupDispatch:
             assert pickle.dumps(pool.compute(clean)) == \
                    pickle.dumps(_in_process(clean))
 
+    def test_failure_keeps_later_groups_snapshots(self, serving_corpus):
+        """A group failing early in a worker's message must not cost the
+        later groups of that message their shipped snapshots: the parent
+        counts them as held and never ships them again."""
+        registry, held_out, _ = serving_corpus
+        north = registry.model_for("bldg-north")
+        probes = held_out["bldg-north"]
+        # Both workers get a north slice; the first also gets the broken
+        # group's single record, ahead of its north slice.
+        groups = [("bldg-broken", _FailingModel("broken"), probes[:1]),
+                  ("bldg-north", north, probes[1:18])]
+        later = groups[1:]
+        telemetry = ServingTelemetry()
+        with ComputePool(2, telemetry=telemetry,
+                         start_method="fork") as pool:
+            with pytest.raises(ValueError, match="broken"):
+                pool.compute(groups)
+            ships = telemetry.counter("compute_pool_snapshot_ships_total")
+            assert pickle.dumps(pool.compute(later)) == \
+                   pickle.dumps(_in_process(later))
+            assert telemetry.counter(
+                "compute_pool_snapshot_ships_total") == ships
+
     def test_concurrent_calls_stay_byte_identical(self, serving_corpus):
         """Calls from several threads interleave their messages on the
         same workers; each still gets exactly its own predictions."""
