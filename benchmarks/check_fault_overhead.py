@@ -45,7 +45,9 @@ MAX_DISABLED_FIRE_SECONDS = 5e-6
 MIN_DISABLED_OVER_ARMED = 0.7
 
 #: Interleaved disabled/armed rounds the macro check medians over.
-AB_ROUNDS = 5
+#: Eleven, as in ``check_pool_overhead.py``: on a shared 2-CPU host the
+#: per-round spread is wider than five samples can pin a median inside.
+AB_ROUNDS = 11
 
 
 def check_disabled_fire_cost() -> float:
@@ -101,8 +103,10 @@ def check_cold_path_ratio() -> tuple[float, float]:
         rounds.append((disabled, armed))
         ratios.append(disabled / armed)
     ratio = statistics.median(ratios)
-    print(f"cold path over {AB_ROUNDS} interleaved rounds: median "
-          f"disabled/armed {ratio:.2f} (floor {MIN_DISABLED_OVER_ARMED}); "
+    print(f"cold path over {AB_ROUNDS} interleaved rounds: disabled/armed "
+          f"min {min(ratios):.2f} / median {ratio:.2f} / "
+          f"max {max(ratios):.2f} "
+          f"(floor {MIN_DISABLED_OVER_ARMED} on the median); "
           f"per-round ratios {[f'{r:.2f}' for r in ratios]}")
     assert ratio >= MIN_DISABLED_OVER_ARMED, (
         f"cold path with failpoints disabled lost to the armed run "

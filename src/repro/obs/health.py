@@ -5,8 +5,8 @@ rejection counters, cache hit rates, latency histograms, retrain backlogs
 — but "is building B healthy?" requires *fusing* them.  This module owns
 that fusion:
 
-* :class:`HealthMonitor` watches a serving façade (one-lock or sharded)
-  and optionally the :class:`ContinuousLearningPipeline` driving it, and
+* :class:`HealthMonitor` watches a serving façade and its shards, and
+  optionally the :class:`ContinuousLearningPipeline` driving it, and
   renders :class:`Scorecard`\\ s per building, per shard and for the
   service as a whole.
 * Every verdict is one of ``healthy`` / ``degraded`` / ``unhealthy`` and
@@ -193,10 +193,10 @@ class HealthMonitor:
     Parameters
     ----------
     service:
-        A serving façade — anything exposing ``building_ids`` and
-        ``telemetry``; a ``shards`` attribute (the sharded service) adds
-        per-shard scorecards and attributes each building's latency/cache
-        signals to its owning shard.  Defaults to ``pipeline.service``.
+        A serving façade — anything exposing ``building_ids``,
+        ``telemetry``, ``shards`` and ``shard_for``.  Every shard gets a
+        scorecard, and each building's latency/cache signals are read from
+        its owning shard.  Defaults to ``pipeline.service``.
     pipeline:
         Optional :class:`ContinuousLearningPipeline`; adds drift-latch,
         pending/stale-retrain and last-swap-age signals.
@@ -224,7 +224,7 @@ class HealthMonitor:
         self._clock = clock
         self._subjects: dict[str, _Subject] = {
             _SERVICE: _Subject(service.telemetry, clock, self.policy)}
-        for shard in getattr(service, "shards", ()) or ():
+        for shard in service.shards:
             self._subjects[f"shard{shard.index}"] = _Subject(
                 shard.telemetry, clock, self.policy)
 
@@ -256,10 +256,8 @@ class HealthMonitor:
                                                 self.policy)
 
     def _subject_for_building(self, building_id: str) -> _Subject:
-        shard_for = getattr(self.service, "shard_for", None)
-        if shard_for is not None:
-            return self._subjects[f"shard{shard_for(building_id).index}"]
-        return self._subjects[_SERVICE]
+        return self._subjects[
+            f"shard{self.service.shard_for(building_id).index}"]
 
     # ----------------------------------------------------------- reason fusion
     def _latency_reasons(self, subject: _Subject,
@@ -436,15 +434,15 @@ class HealthMonitor:
                                                          dict[str, float]]:
         """Compute-pool dispatch and snapshot-shipping health (info only).
 
-        Reads the service-level counters the pool records (both the
-        one-lock and the sharded service construct their shared pool with
-        the service telemetry): recent dispatch rate, and what fraction of
-        dispatches reused a snapshot already resident on the worker rather
-        than re-shipping the pickled model.  A low snapshot hit rate means
-        swap churn is outpacing the shipping economics — worth surfacing,
-        but a cost observation, not a correctness problem — so the reason
-        is ``"info"`` severity and never moves a verdict.  Services
-        without a pool (``compute_workers=0``) emit nothing.
+        Reads the service-level counters the pool records (the service
+        constructs its shared pool with the service telemetry): recent
+        dispatch rate, and what fraction of dispatches reused a snapshot
+        already resident on the worker rather than re-shipping the pickled
+        model.  A low snapshot hit rate means swap churn is outpacing the
+        shipping economics — worth surfacing, but a cost observation, not a
+        correctness problem — so the reason is ``"info"`` severity and never
+        moves a verdict.  Services without a pool (``compute_workers=0``)
+        emit nothing.
         """
         reasons: list[HealthReason] = []
         metrics: dict[str, float] = {}
@@ -550,7 +548,7 @@ class HealthMonitor:
         buildings = {building_id: self.building_scorecard(building_id, now)
                      for building_id in sorted(self.service.building_ids)}
         shards = {f"shard{shard.index}": self.shard_scorecard(shard, now)
-                  for shard in getattr(self.service, "shards", ()) or ()}
+                  for shard in self.service.shards}
         service = self.service_scorecard(now)
         overall = _worst(service.status,
                          *(card.status for card in buildings.values()),

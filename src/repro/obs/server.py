@@ -1,13 +1,13 @@
 """Stdlib HTTP endpoint serving metrics, health, SLO status and spans.
 
 :class:`ObsServer` is the last mile of the observability stack: a
-``ThreadingHTTPServer`` (no third-party dependencies) that any serving
-façade — :class:`FloorServingService`, :class:`ShardedServingService` —
-or a :class:`ContinuousLearningPipeline` plugs into, exposing:
+``ThreadingHTTPServer`` (no third-party dependencies) that the serving
+façade — :class:`ShardedServingService`, of which
+:class:`FloorServingService` is the one-shard configuration — or a
+:class:`ContinuousLearningPipeline` plugs into, exposing:
 
-* ``GET /metrics`` — Prometheus text exposition of the service telemetry;
-  for a sharded service the per-shard registries are merged into one
-  fleet view.
+* ``GET /metrics`` — Prometheus text exposition of the service telemetry
+  with every shard's registry merged into one fleet view.
 * ``GET /healthz`` — the :class:`~repro.obs.health.HealthMonitor` report:
   aggregate status plus per-building and per-shard scorecards with
   machine-readable reasons.  Responds ``200`` while the fleet is healthy
@@ -106,9 +106,10 @@ class ObsServer:
     Parameters
     ----------
     service:
-        The serving façade to expose (anything with ``telemetry`` and
-        ``building_ids``; a ``shards`` attribute adds the merged fleet
-        view).  Defaults to ``pipeline.service``.
+        The serving façade to expose (anything with ``telemetry``,
+        ``building_ids``, ``shards`` and ``shard_for``; the shards'
+        telemetry is merged into the fleet view).  Defaults to
+        ``pipeline.service``.
     pipeline:
         Optional :class:`ContinuousLearningPipeline`; enriches the health
         report with drift/retrain state.
@@ -156,8 +157,7 @@ class ObsServer:
 
     # ------------------------------------------------------------- renderers
     def _shard_registries(self):
-        return [shard.telemetry
-                for shard in getattr(self.service, "shards", ()) or ()]
+        return [shard.telemetry for shard in self.service.shards]
 
     def _merged_snapshot(self) -> dict[str, object]:
         return self.service.telemetry.merged_snapshot(self._shard_registries())

@@ -12,11 +12,12 @@ stack able to front a large multi-building registry under heavy traffic:
   deadline-triggered dispatch;
 * :mod:`~repro.serving.telemetry` — latency histograms, throughput counters
   and ``snapshot()`` export;
-* :mod:`~repro.serving.service` — the :class:`FloorServingService` façade
-  composing all of the above with per-building model hot swap;
-* :mod:`~repro.serving.sharding` — the same façade hash-partitioned across
-  N :class:`Shard`\\ s, each with its own lock, cache partition, router
-  postings and telemetry (:class:`ShardedServingService`);
+* :mod:`~repro.serving.sharding` — the serving façade,
+  :class:`ShardedServingService`, composing all of the above with
+  per-building model hot swap, hash-partitioned across N :class:`Shard`\\ s,
+  each with its own lock, cache partition, router postings and telemetry;
+* :mod:`~repro.serving.service` — :class:`FloorServingService`, the
+  façade's one-shard (single-lock) configuration;
 * :mod:`~repro.serving.pool` — a persistent :class:`ComputePool` of worker
   processes behind the cold path's plan/compute/commit split, scaling cold
   serving with cores instead of GIL-bound threads (``compute_workers``).

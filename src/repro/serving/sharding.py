@@ -1,22 +1,41 @@
-"""Partitioned serving: per-building state sharded behind per-shard locks.
+"""The serving façade: router → cache → batcher → engines, per building shard.
 
-:class:`FloorServingService` guards its entire stack — registry, router,
-cache, batcher — with one ``threading.RLock``, so any slow operation on one
-building (a large batch, a hot swap, a model load) stalls every other
-building's traffic.  The paper's system is a *per-building* model family,
-which makes the building the natural unit of partitioning: this module
-splits the stack into :class:`Shard` objects, each owning its own lock,
-registry slice, cache partition, router postings and telemetry, and
-composes them behind :class:`ShardedServingService` — the same public
-surface as the one-lock service, with predictions byte-identical to it
-(test-enforced).
+:class:`ShardedServingService` wraps a :class:`MultiBuildingFloorService`
+registry with the production plumbing the research pipeline lacks:
+
+* **routing** — building attribution via the O(|record.rss|) inverted MAC
+  index (:mod:`repro.serving.router`), kept exactly equivalent to the
+  registry's reference linear scan;
+* **caching** — a bounded LRU/TTL prediction cache keyed on the canonical
+  quantised fingerprint (:mod:`repro.serving.cache`);
+* **micro-batching** — an asynchronous ``submit``/``poll``/``drain`` intake
+  that coalesces requests into per-building batches with size- and
+  deadline-triggered dispatch (:mod:`repro.serving.batcher`);
+* **telemetry** — counters and latency histograms for every stage
+  (:mod:`repro.serving.telemetry`);
+* **hot swap** — per-building retrain-and-replace through the persistence
+  layer, atomic with respect to concurrent serving calls.
+
+The paper's system is a *per-building* model family, which makes the
+building the natural unit of partitioning: the stack is split into
+:class:`Shard` objects, each owning its own lock, registry slice, cache
+partition, router postings, micro-batch buckets and telemetry, so a slow
+operation on one building (a large batch, a hot swap, a model load) only
+ever stalls the other buildings of its shard.  A single-lock service is the
+one-shard case, :class:`~repro.serving.service.FloorServingService`.
 
 Attribution stays global: :class:`ShardedRouter` collects per-shard
 candidate hit counts (``MacInvertedRouter.candidate_hits``) and runs the
 selection rule over their union with a *global* registration-order
-tie-break, so a record lands on exactly the building the one-lock
+tie-break, so a record lands on exactly the building a single
 ``MacInvertedRouter`` — and therefore the registry's reference linear scan
-— would pick.
+— would pick.  Predictions are therefore identical for every shard count
+(test-enforced), and identical to the sequential
+``MultiBuildingFloorService.predict`` reference: per-record incremental
+embedding is deterministic and independent of batch composition.  The one
+deliberate deviation: with caching enabled, records that agree on the
+quantised fingerprint (RSS rounded to ``rss_quantum``) share one cached
+prediction instead of each being recomputed.
 
 Buildings are assigned to shards by a stable hash (CRC-32 of the building
 id), so the placement survives restarts and is identical on every node of
@@ -30,7 +49,7 @@ import threading
 import time
 import zlib
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core.inference import UnknownEnvironmentError
@@ -39,22 +58,83 @@ from ..core.pipeline import GRAFICS, GraficsConfig
 from ..core.registry import BuildingPrediction, MultiBuildingFloorService
 from ..core.types import FingerprintDataset, SignalRecord
 from ..faults import failpoints
+from ..obs import runtime as obs
 from ..obs.log import log_event
 from .batcher import Batch, MicroBatcher
 from .cache import PredictionCache, fingerprint_key
-from .pool import ComputePool
+from .pool import ComputePool, WorkerCrashError
 from .router import MacInvertedRouter, Router, RoutingDecision
-from .service import (
-    ServingConfig,
-    ServingResult,
-    _commit_plan,
-    _compute_plan,
-    _dispatch_batch,
-    _plan_positions,
-)
 from .telemetry import ServingTelemetry
 
-__all__ = ["shard_index", "Shard", "ShardedRouter", "ShardedServingService"]
+__all__ = ["ServingConfig", "ServingResult", "shard_index", "Shard",
+           "ShardedRouter", "ShardedServingService"]
+
+
+@dataclass(frozen=True)
+class ServingConfig:
+    """Tunables of the serving stack."""
+
+    max_batch_size: int = 32
+    max_delay_seconds: float = 0.05
+    cache_entries: int = 4096
+    cache_ttl_seconds: float | None = None
+    rss_quantum: float = 1.0
+    enable_cache: bool = True
+    #: Cold-path compute processes.  0 (default) keeps today's in-process
+    #: path, byte-for-byte; N >= 1 puts a persistent
+    #: :class:`~repro.serving.pool.ComputePool` of N workers behind the
+    #: plan/compute/commit split — plan and commit stay in-process under
+    #: the serving locks, only the engine work crosses the process
+    #: boundary, and predictions stay byte-identical either way.
+    compute_workers: int = 0
+    #: Worker start method: ``None`` → ``"spawn"`` (always safe to respawn
+    #: after a crash).  ``"fork"`` starts workers far faster but forks a
+    #: possibly multi-threaded parent on respawn; opt in deliberately.
+    compute_start_method: str | None = None
+
+    def __post_init__(self) -> None:
+        # The other fields are validated by the components they configure;
+        # the quantum would otherwise only fail on the first cached lookup.
+        if self.rss_quantum <= 0.0:
+            raise ValueError("rss_quantum must be positive")
+        if self.compute_workers < 0:
+            raise ValueError("compute_workers must be >= 0 "
+                             "(0 disables the compute pool)")
+        if self.compute_start_method is not None and self.compute_workers == 0:
+            raise ValueError("compute_start_method is only meaningful with "
+                             "compute_workers > 0")
+
+
+@dataclass(frozen=True)
+class ServingResult:
+    """Outcome of one asynchronously submitted request."""
+
+    record_id: str
+    prediction: BuildingPrediction | None
+    source: str  # "cache" | "batch" | "rejected"
+    error: str | None = None
+    #: Request ID minted at intake, carried through dispatch and every
+    #: rejection path (mid-flight eviction, post-swap unattributable), so a
+    #: rejected result can be correlated with logs and traces.
+    trace_id: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.prediction is not None
+
+
+@dataclass
+class _ServePlan:
+    """The locked-phase outcome of one shard's slice of a ``predict_batch``.
+
+    Cache hits are already written into ``results`` when the plan is built;
+    what remains is the per-building engine work, pinned to the *model
+    snapshots* taken under the lock so the computation can run without it.
+    """
+
+    misses: list[tuple[str, object, list[int]]]  # (building, model, positions)
+    keys: dict[int, str]
+    served: int                                  # positions covered (hits + misses)
 
 
 def shard_index(building_id: str, num_shards: int) -> int:
@@ -78,6 +158,12 @@ class Shard:
     telemetry.  All of it is mutated and read under ``self.lock`` only, so
     traffic, hot swaps and evictions on one shard never contend with any
     other shard.
+
+    :meth:`serve` and :meth:`dispatch` are the two serving paths.  Both take
+    the lock only to snapshot models and cache state and to commit results;
+    the engine computation in between runs unlocked, because online
+    inference is mutation-free (overlay-based) — so cold predicts racing on
+    one shard, or racing that shard's hot swaps, never serialise.
     """
 
     def __init__(self, index: int, grafics_config: GraficsConfig,
@@ -85,6 +171,7 @@ class Shard:
                  cache_entries: int,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.index = index
+        self.config = config
         self.lock = threading.RLock()
         self.registry = MultiBuildingFloorService(grafics_config,
                                                   min_overlap=min_overlap)
@@ -112,6 +199,238 @@ class Shard:
             "hot_swaps_total": self.telemetry.counter("hot_swaps_total"),
         }
 
+    def _still_installed(self, building_id: str, model) -> bool:
+        """Is ``model`` still the installed model of ``building_id``?
+
+        The stale-swap cache guard: predictions computed during the unlocked
+        phase are cached only while their snapshot model is still live — a
+        hot swap or eviction already invalidated the building's entries, and
+        re-inserting a pre-swap prediction would resurrect exactly the
+        staleness the invalidation removed.
+        """
+        try:
+            return self.registry.model_for(building_id) is model
+        except KeyError:
+            return False
+
+    # ------------------------------------------------------ synchronous path
+    def serve(self, records: Sequence[SignalRecord],
+              routed: Sequence[RoutingDecision], positions: Sequence[int],
+              results: list[BuildingPrediction | None],
+              pool: ComputePool | None) -> None:
+        """This shard's slice of a ``predict_batch``: plan, compute, commit.
+
+        Each miss group is served by the model that was installed when it
+        was planned (never a mix of two).
+        """
+        with self.telemetry.time("request_seconds"):
+            with self.lock:
+                plan = self._plan(records, routed, positions, results)
+            outputs = self._compute(records, plan, pool)
+            with self.lock:
+                self._commit(routed, plan, outputs, results)
+
+    def _plan(self, records: Sequence[SignalRecord],
+              routed: Sequence[RoutingDecision], positions: Iterable[int],
+              results: list[BuildingPrediction | None]) -> _ServePlan:
+        """Cache lookups + model snapshots for the slice (lock held)."""
+        with obs.span("serving.plan") as plan_span:
+            positions = list(positions)
+            miss_positions: dict[str, list[int]] = {}
+            keys: dict[int, str] = {}
+            for position in positions:
+                record, decision = records[position], routed[position]
+                if self.config.enable_cache:
+                    key = fingerprint_key(decision.building_id, record,
+                                          quantum=self.config.rss_quantum)
+                    keys[position] = key
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        self.telemetry.increment("cache_hits_total")
+                        results[position] = replace(
+                            cached, record_id=record.record_id)
+                        continue
+                    self.telemetry.increment("cache_misses_total")
+                miss_positions.setdefault(decision.building_id,
+                                          []).append(position)
+
+            misses = []
+            for building_id, miss in miss_positions.items():
+                try:
+                    model = self.registry.model_for(building_id)
+                except KeyError:
+                    # Routing takes no shard-wide lock, so a building can be
+                    # evicted between routing and planning.  Surface the
+                    # clean rejection routing a vanished building would
+                    # have produced.
+                    raise UnknownEnvironmentError(
+                        f"building {building_id!r} was evicted between "
+                        "routing and dispatch") from None
+                misses.append((building_id, model, miss))
+            plan_span.set("positions", len(positions))
+            plan_span.set("miss_groups", len(misses))
+            return _ServePlan(misses=misses, keys=keys, served=len(positions))
+
+    def _compute(self, records: Sequence[SignalRecord], plan: _ServePlan,
+                 pool: ComputePool | None) -> list[list]:
+        """Run the planned engine work — *without* the shard lock.
+
+        Only the thread-safe telemetry is touched.  Returns one prediction
+        list per planned miss group, in plan order.
+
+        With a ``pool``, the plan's miss groups go to worker processes in
+        one :meth:`~repro.serving.pool.ComputePool.compute` call, computed
+        against the shipped model snapshots (byte-identical output:
+        ``independent=True`` inference is per-record deterministic and a
+        pickled model predicts exactly like its source).  The
+        ``serve.compute`` failpoint is still evaluated here, in the parent —
+        one hit per call, same process-global counter as the in-process fire
+        — but its effect executes inside the worker computing the first miss
+        group's first slice; a slice of pure cache hits counts the hit with
+        no compute left to fault.  The pool records compute timings and
+        batch counters itself, from the workers' own measurements.
+        """
+        with obs.span("serving.compute") as compute_span:
+            if pool is not None:
+                groups = [(building_id, model, [records[i] for i in miss])
+                          for building_id, model, miss in plan.misses]
+                directives = failpoints.evaluate("serve.compute")
+                flat = pool.compute(groups, directives=directives) \
+                    if groups else []
+                outputs, start = [], 0
+                for _, _, batch in groups:
+                    outputs.append(flat[start:start + len(batch)])
+                    start += len(batch)
+                compute_span.set("records", len(flat))
+                return outputs
+            failpoints.fire("serve.compute")
+            outputs = []
+            computed = 0
+            for _, model, miss in plan.misses:
+                batch = [records[i] for i in miss]
+                with self.telemetry.time("batch_seconds"):
+                    floor_predictions = model.predict_batch(batch,
+                                                            independent=True)
+                self.telemetry.increment("batches_total")
+                self.telemetry.increment("batched_records_total", len(batch))
+                computed += len(batch)
+                outputs.append(floor_predictions)
+            compute_span.set("records", computed)
+            return outputs
+
+    def _commit(self, routed: Sequence[RoutingDecision], plan: _ServePlan,
+                outputs: list[list],
+                results: list[BuildingPrediction | None]) -> None:
+        """Fill results and the cache from computed predictions (lock held).
+
+        Cache fills go through the :meth:`_still_installed` stale-swap
+        guard; the computed predictions themselves are always returned — the
+        request was routed and served by the model that was live when it
+        was planned.
+        """
+        with obs.span("serving.commit"):
+            for (building_id, model, miss), floor_predictions in zip(
+                    plan.misses, outputs):
+                cacheable = (self.config.enable_cache
+                             and self._still_installed(building_id, model))
+                for position, floor_prediction in zip(miss,
+                                                      floor_predictions):
+                    prediction = BuildingPrediction(
+                        record_id=floor_prediction.record_id,
+                        building_id=building_id,
+                        floor=floor_prediction.floor,
+                        mac_overlap=routed[position].overlap,
+                        distance=floor_prediction.distance)
+                    results[position] = prediction
+                    if cacheable:
+                        self.cache.put(plan.keys[position], prediction,
+                                       building_id=building_id)
+            self.telemetry.increment("predictions_total", plan.served)
+
+    # ---------------------------------------------------- micro-batched path
+    def dispatch(self, batch: Batch, pool: ComputePool | None) -> None:
+        """Run one released micro-batch through the engine into ``completed``.
+
+        The caller must *not* hold the lock.  A batch whose building
+        vanished between release and dispatch surfaces as rejected results,
+        exactly as an eviction of the still-queued requests would have; a
+        batch overlapping a hot swap is served wholly by the snapshot model
+        — the building's *current* model at dispatch time, which may
+        post-date the routing decision — and skips the cache fill (the
+        stale-put guard).  If that newer model can no longer attribute the
+        batch's records (their MACs left the vocabulary), the whole batch
+        surfaces as rejected instead of the exception escaping and losing
+        the sibling results.  ``completed`` is re-read under the lock on
+        every append, because ``poll``/``drain`` swap the list out.
+        """
+        def reject_all(error: str) -> None:
+            with self.lock:
+                for record, _, _, request_id in batch.items:
+                    self.telemetry.increment("rejections_total")
+                    self.completed.append(ServingResult(
+                        record_id=record.record_id, prediction=None,
+                        source="rejected", error=error, trace_id=request_id))
+
+        with obs.span("serving.dispatch") as dispatch_span:
+            dispatch_span.set("building", batch.building_id)
+            dispatch_span.set("reason", batch.reason)
+            dispatch_span.set("size", len(batch.items))
+            self.telemetry.observe("queue_wait_seconds", batch.queued_seconds)
+            with self.lock:
+                try:
+                    model = self.registry.model_for(batch.building_id)
+                except KeyError:
+                    reject_all(f"building {batch.building_id!r} was evicted "
+                               "before the request was dispatched")
+                    return
+            records = [record for record, _, _, _ in batch.items]
+            if pool is None:
+                failpoints.fire("serve.compute", building_id=batch.building_id)
+                try:
+                    with self.telemetry.time("batch_seconds"):
+                        floor_predictions = model.predict_batch(
+                            records, independent=True)
+                except UnknownEnvironmentError as error:
+                    reject_all(str(error))
+                    return
+                self.telemetry.increment("batches_total")
+                self.telemetry.increment("batched_records_total", len(records))
+            else:
+                # The parent decides the serve.compute hit (keeping the
+                # process-global fault counter deterministic); the worker
+                # computing the batch executes it.  A worker dying mid-batch
+                # surfaces as retryable rejections — never a hang — while
+                # the pool respawns the worker underneath.
+                directives = failpoints.evaluate(
+                    "serve.compute", building_id=batch.building_id)
+                try:
+                    floor_predictions = pool.compute(
+                        [(batch.building_id, model, records)],
+                        directives=directives)
+                except (UnknownEnvironmentError, WorkerCrashError) as error:
+                    reject_all(str(error))
+                    return
+            self.telemetry.increment(f"batch_flush_{batch.reason}_total")
+            self.telemetry.increment("predictions_total", len(records))
+            with self.lock:
+                cacheable = (self.config.enable_cache
+                             and self._still_installed(batch.building_id,
+                                                       model))
+                for (record, decision, key, request_id), floor_prediction in \
+                        zip(batch.items, floor_predictions):
+                    prediction = BuildingPrediction(
+                        record_id=floor_prediction.record_id,
+                        building_id=batch.building_id,
+                        floor=floor_prediction.floor,
+                        mac_overlap=decision.overlap,
+                        distance=floor_prediction.distance)
+                    if cacheable and key is not None:
+                        self.cache.put(key, prediction,
+                                       building_id=batch.building_id)
+                    self.completed.append(ServingResult(
+                        record_id=record.record_id, prediction=prediction,
+                        source="batch", trace_id=request_id))
+
 
 class ShardedRouter(Router):
     """Building attribution over per-shard inverted indices.
@@ -122,6 +441,10 @@ class ShardedRouter(Router):
     :meth:`MacInvertedRouter.select_best` over the union with this router's
     *global* position map, so the winner — including the earliest-registered
     tie-break — is exactly the one-router answer.
+
+    The position map is copy-on-write: registrations replace it under
+    ``_registration_lock``, and :meth:`route` reads the current reference
+    without locking or copying.
     """
 
     def __init__(self, shards: Sequence[Shard],
@@ -140,7 +463,8 @@ class ShardedRouter(Router):
         shard = self._shard_for(building_id)
         with self._registration_lock:
             if building_id not in self._positions:
-                self._positions[building_id] = self._next_position
+                self._positions = {**self._positions,
+                                   building_id: self._next_position}
                 self._next_position += 1
         with shard.lock:
             shard.router.add_building(building_id, vocabulary)
@@ -150,11 +474,14 @@ class ShardedRouter(Router):
         with shard.lock:
             shard.router.remove_building(building_id)
         with self._registration_lock:
-            del self._positions[building_id]
+            positions = dict(self._positions)
+            del positions[building_id]
+            self._positions = positions
 
     @property
     def building_ids(self) -> list[str]:
-        return sorted(self._positions, key=self._positions.__getitem__)
+        positions = self._positions
+        return sorted(positions, key=positions.__getitem__)
 
     def vocabulary_for(self, building_id: str) -> frozenset[str]:
         return self._shard_for(building_id).router.vocabulary_for(building_id)
@@ -166,12 +493,11 @@ class ShardedRouter(Router):
         for shard in self._shards:
             with shard.lock:
                 hits.update(shard.router.candidate_hits(macs))
-        # Selection runs against a position *snapshot*: a building evicted
-        # between the shard sweeps and here has no position left — it could
-        # not have been served either, so it drops out of the tally instead
-        # of blowing up the lookup mid-selection.
-        with self._registration_lock:
-            positions = dict(self._positions)
+        # Selection runs against the position snapshot taken *after* the
+        # shard sweeps: a building evicted in between has no position left —
+        # it could not have been served either, so it drops out of the tally
+        # instead of blowing up the lookup mid-selection.
+        positions = self._positions
         hits = {building_id: count for building_id, count in hits.items()
                 if building_id in positions}
         best_building, best_hits = MacInvertedRouter.select_best(hits,
@@ -183,19 +509,20 @@ class ShardedRouter(Router):
 
 
 class ShardedServingService:
-    """The one-lock serving façade, hash-partitioned across N shards.
+    """Production serving stack over a registry, hash-partitioned in shards.
 
-    Drop-in for :class:`FloorServingService`: same methods, same prediction
-    values (byte-identical, test-enforced), same ``ServingResult`` surface
-    on the micro-batched path.  The differences are operational:
+    ``num_shards=1`` is the single-lock service
+    (:class:`~repro.serving.service.FloorServingService`).  With more:
 
     * every shard serves, swaps and evicts under its *own* lock — a slow
       building only ever stalls the other buildings of its shard;
     * the prediction cache is partitioned (``cache_entries`` splits evenly
       across shards), so invalidations and LRU churn stay shard-local;
-    * telemetry is recorded per shard and aggregated on demand, with
-      per-shard gauges (queue depth, cache size, last-swap shard) in
-      :meth:`telemetry_snapshot`.
+    * telemetry is recorded per shard (cache, batch, swap and prediction
+      counters, ``request_seconds``) and at the service (requests,
+      rejections at intake, retrains, the compute pool), and aggregated on
+      demand by :meth:`telemetry_snapshot`, with per-shard gauges (queue
+      depth, cache size, last-swap shard).
 
     Concurrency semantics: routing reads each shard's postings under that
     shard's lock, and dispatch locks only the target shard, so a batch
@@ -231,6 +558,8 @@ class ShardedServingService:
         # are per building, so shards never collide in a worker's cache.
         # Pool counters land in the service-level telemetry, which
         # ``merged_snapshot`` already folds together with the shards'.
+        # Only a compute_workers > 0 config pays the worker-process startup
+        # cost; the default stays pool-free.
         self.compute_pool: ComputePool | None = None
         if self.config.compute_workers > 0:
             self.compute_pool = ComputePool(
@@ -238,7 +567,7 @@ class ShardedServingService:
                 start_method=self.config.compute_start_method)
         self._orphans_lock = threading.Lock()
         self._orphans: list[ServingResult] = []
-        # Deterministic request IDs, minted at the sharded front door so a
+        # Deterministic request IDs (no RNG), minted at the front door so a
         # request keeps one identity even when re-routed across shards.
         self._request_ids = itertools.count(1)
         # Partition any pre-trained buildings in *registration order* so the
@@ -251,7 +580,12 @@ class ShardedServingService:
             self.router.add_building(building_id, vocabulary)
 
     def close(self) -> None:
-        """Release the shared compute pool's worker processes, if any."""
+        """Release the shared compute pool's worker processes, if any.
+
+        Idempotent.  Close when done serving: pooled compute after close
+        surfaces as :class:`~repro.serving.pool.WorkerCrashError`.  A
+        service with ``compute_workers=0`` has nothing to release.
+        """
         if self.compute_pool is not None:
             self.compute_pool.close()
 
@@ -272,9 +606,11 @@ class ShardedServingService:
                       for building_id in shard.registry.building_ids)
 
     def vocabulary_for(self, building_id: str) -> frozenset[str]:
+        """The attribution vocabulary of one trained building."""
         return self.shard_for(building_id).registry.vocabulary_for(building_id)
 
     def model_for(self, building_id: str) -> GRAFICS:
+        """The live model of one trained building."""
         return self.shard_for(building_id).registry.model_for(building_id)
 
     def fit_building(self, dataset: FingerprintDataset,
@@ -302,20 +638,23 @@ class ShardedServingService:
 
     def install_building(self, building_id: str, model: GRAFICS,
                          vocabulary: Iterable[str] | None = None) -> None:
-        """Atomically (re)place a building's model on its shard.
+        """Atomically (re)place a building's model — the hot-swap primitive.
 
         Registry entry, router postings and cache partition are updated
-        under the owning shard's lock; other shards keep serving
-        throughout.  Requests still queued for the building are re-routed
-        against the new vocabulary *after* the shard lock is released —
-        the new vocabulary may send them to a different shard, whose lock
-        must not be taken while this one is held.  A batch already released
-        for dispatch when the swap lands is served by the building's model
-        as snapshotted at dispatch time, with unattributable records
-        surfacing as rejected results (see ``_dispatch_batch``).
+        under the owning shard's lock, so a concurrent ``predict`` sees
+        either the old model or the new one, never a mix; other shards keep
+        serving throughout.  Requests still queued for the building were
+        routed against the old vocabulary; they are re-routed against the
+        new one (and re-queued, dispatched or rejected accordingly) *after*
+        the shard lock is released — the new vocabulary may send them to a
+        different shard, whose lock must not be taken while this one is
+        held.  A batch already released for dispatch when the swap lands is
+        served by the building's model as snapshotted at dispatch time, with
+        unattributable records surfacing as rejected results (see
+        :meth:`Shard.dispatch`).
         """
-        # Same placement as the one-lock service: before the shard lock, so
-        # a kill here leaves the old model installed and the shard serving.
+        # Fired before the lock: a kill here models a process dying on the
+        # way into a swap — the installed model must remain the old one.
         failpoints.fire("swap.install", building_id=building_id)
         shard = self.shard_for(building_id)
         with shard.lock:
@@ -330,13 +669,15 @@ class ShardedServingService:
         log_event("hot_swap_installed", building_id=building_id,
                   shard=shard.index, requeued=len(evicted))
         for record, _, _, request_id in evicted:
+            # Re-routed requests keep their original intake ID so the
+            # eventual result is attributable to the original submit.
             result, target_shard, full = self._route_and_enqueue(
                 record, request_id=request_id)
             if result is not None:
                 with self._orphans_lock:
                     self._orphans.append(result)
             if full is not None:
-                self._dispatch(target_shard, full)
+                target_shard.dispatch(full, self.compute_pool)
 
     def load_building(self, building_id: str, path: str | Path) -> GRAFICS:
         """Hot-swap a building from a model saved via the persistence layer."""
@@ -350,14 +691,24 @@ class ShardedServingService:
                          warm_start: bool = False,
                          kernel: str | None = None,
                          sampler_mode: str | None = None) -> GRAFICS:
-        """Retrain one building off to the side, then hot-swap its shard.
+        """Retrain one building off to the side, then hot-swap it in.
 
-        Training holds no lock at all — only the final install takes the
-        owning shard's lock — so even the building's own shard keeps
-        serving its other buildings while the replacement trains.
-        ``kernel`` and ``sampler_mode`` optionally select the training
-        kernel and the cold-path negative-sampler mode for this retrain,
-        mirroring :meth:`FloorServingService.retrain_building`.
+        Training happens on a fresh :class:`GRAFICS` instance and holds no
+        lock at all — only the final install takes the owning shard's lock
+        — so the live model keeps serving until the replacement is ready.
+        When ``model_path`` is given the new model is round-tripped through
+        :func:`save_model`/:func:`load_model` (written to a temporary file
+        and atomically renamed), so what goes live is exactly what a later
+        restart would load from disk.  ``warm_start=True`` initialises the
+        embedding from the building's currently installed model (nodes
+        surviving the retrain resume from their learned vectors) — the
+        continuous-learning path, where retrains happen on a sliding window
+        that mostly overlaps the previous one.  ``kernel`` optionally selects
+        the training kernel for this retrain (``"fused"`` halves fit time;
+        the model records the kernel, so its online path keeps using it);
+        ``sampler_mode`` likewise selects the cold-path negative-sampler
+        mode (``"delta"`` skips the per-predict O(V) alias rebuild) for the
+        installed model's serving traffic.
         """
         previous_embedding = None
         if warm_start:
@@ -379,7 +730,12 @@ class ShardedServingService:
         return model
 
     def evict_building(self, building_id: str) -> None:
-        """Remove a building from serving; queued requests surface rejected."""
+        """Remove a building from serving entirely.
+
+        Requests already queued for the building can no longer be served;
+        they surface from the next :meth:`poll`/:meth:`drain` as rejected
+        results rather than crashing the dispatch or vanishing.
+        """
         shard = self.shard_for(building_id)
         with shard.lock:
             shard.registry.remove_building(building_id)
@@ -400,8 +756,8 @@ class ShardedServingService:
         """All shards' models as one registry, in global registration order.
 
         The result round-trips through ``save_registry``/``load_registry``
-        unchanged — reconstructing a sharded service from it reproduces both
-        the shard placement (stable hash of the building id) and the
+        unchanged — reconstructing a service from it reproduces both the
+        shard placement (stable hash of the building id) and the
         attribution tie-break (registration order is preserved).
         """
         merged = MultiBuildingFloorService(self.grafics_config,
@@ -423,74 +779,60 @@ class ShardedServingService:
                       records: Sequence[SignalRecord]) -> list[BuildingPrediction]:
         """Predict several samples, grouped per shard then per building.
 
-        Values are identical to :meth:`FloorServingService.predict_batch`
-        (and therefore to the sequential registry reference): per-record
-        incremental embedding is deterministic and independent of batch
-        composition, and the global-tie-break router attributes each record
-        to the same building.  Raises :class:`UnknownEnvironmentError` on
-        the first record that cannot be attributed, before any prediction
-        is computed, mirroring the reference.
+        Every prediction actually computed is identical to the sequential
+        ``MultiBuildingFloorService.predict`` reference path, in input
+        order, for every shard count; with the cache enabled, a record whose
+        *quantised* fingerprint (RSS rounded to ``rss_quantum``) matches a
+        cached entry is served that entry instead of being recomputed —
+        exact re-submissions always get the identical prediction, while
+        records differing only by sub-quantum RSS noise deliberately share
+        one.  Set ``enable_cache=False`` (or shrink ``rss_quantum``) for
+        strict per-record recomputation.  Raises
+        :class:`UnknownEnvironmentError` on the first record that cannot be
+        attributed, before any prediction is computed, mirroring the
+        reference.
+
+        Tracing: one ``serving.request`` span over ``serving.route`` and
+        each shard's ``serving.plan``/``compute``/``commit`` spans.
         """
         records = list(records)
-        self.telemetry.increment("requests_total", len(records))
-        routed = []
-        for record in records:
-            try:
-                routed.append(self.router.route(record))
-            except UnknownEnvironmentError:
-                self.telemetry.increment("rejections_total")
-                raise
-
-        results: list[BuildingPrediction | None] = [None] * len(records)
-        by_shard: dict[int, list[int]] = {}
-        for position, decision in enumerate(routed):
-            index = shard_index(decision.building_id, self.num_shards)
-            by_shard.setdefault(index, []).append(position)
-        for index, positions in by_shard.items():
-            shard = self.shards[index]
-            with shard.telemetry.time("request_seconds"):
-                self._predict_on_shard(shard, records, routed, positions,
-                                       results)
-        return results
-
-    def _predict_on_shard(self, shard: Shard,
-                          records: Sequence[SignalRecord],
-                          routed: Sequence[RoutingDecision],
-                          positions: Sequence[int],
-                          results: list[BuildingPrediction | None]) -> None:
-        """One shard's slice through the shared synchronous serving core.
-
-        The shard lock covers only the plan (cache lookups, model
-        snapshots) and commit (cache fills) phases; the engine computation
-        between them is mutation-free and runs unlocked, so cold predicts
-        racing on one shard — or racing that shard's hot swaps — no longer
-        serialise.
-        """
-        with shard.lock:
-            plan = _plan_positions(records, routed, positions,
-                                   registry=shard.registry, cache=shard.cache,
-                                   telemetry=shard.telemetry,
-                                   config=self.config, results=results)
-        outputs = _compute_plan(records, plan, telemetry=shard.telemetry,
-                                pool=self.compute_pool)
-        with shard.lock:
-            _commit_plan(routed, plan, outputs, registry=shard.registry,
-                         cache=shard.cache, telemetry=shard.telemetry,
-                         config=self.config, results=results)
+        with obs.span("serving.request") as request_span:
+            request_span.set("records", len(records))
+            self.telemetry.increment("requests_total", len(records))
+            routed = []
+            with obs.span("serving.route"):
+                for record in records:
+                    try:
+                        routed.append(self.router.route(record))
+                    except UnknownEnvironmentError:
+                        self.telemetry.increment("rejections_total")
+                        raise
+            results: list[BuildingPrediction | None] = [None] * len(records)
+            by_shard: dict[int, list[int]] = {}
+            for position, decision in enumerate(routed):
+                index = shard_index(decision.building_id, self.num_shards)
+                by_shard.setdefault(index, []).append(position)
+            for index, positions in by_shard.items():
+                self.shards[index].serve(records, routed, positions, results,
+                                         self.compute_pool)
+            return results
 
     # ---------------------------------------------------- micro-batched path
     def submit(self, record: SignalRecord) -> ServingResult | None:
         """Submit one request to the owning shard's micro-batching intake.
 
-        A size-triggered batch is dispatched inline with the shard lock
-        released during the engine computation, mirroring the synchronous
-        path: a full batch on one shard stalls neither that shard's other
-        intake nor any other shard.
+        Returns immediately with a :class:`ServingResult` when the request
+        is served from cache or rejected; returns ``None`` when it was
+        queued (its result will surface from :meth:`poll` or
+        :meth:`drain`).  A size-triggered batch is dispatched inline with
+        the shard lock released during the engine computation, mirroring
+        the synchronous path: a full batch on one shard stalls neither that
+        shard's other intake nor any other shard.
         """
         self.telemetry.increment("requests_total")
         result, shard, full = self._route_and_enqueue(record)
         if full is not None:
-            self._dispatch(shard, full)
+            shard.dispatch(full, self.compute_pool)
         return result
 
     def _route_and_enqueue(
@@ -535,27 +877,21 @@ class ShardedServingService:
 
     def poll(self) -> list[ServingResult]:
         """Dispatch deadline-expired batches on every shard; collect results."""
-        with self._orphans_lock:
-            completed, self._orphans = self._orphans, []
-        for shard in self.shards:
-            with shard.lock:
-                due = list(shard.batcher.due())
-            for batch in due:
-                self._dispatch(shard, batch)
-            with shard.lock:
-                completed.extend(shard.completed)
-                shard.completed = []
-        return completed
+        return self._collect(lambda batcher: batcher.due())
 
     def drain(self) -> list[ServingResult]:
         """Flush every shard's pending batches; collect all results."""
+        return self._collect(lambda batcher: batcher.drain())
+
+    def _collect(self, release) -> list[ServingResult]:
+        """Dispatch what ``release(shard.batcher)`` frees on every shard."""
         with self._orphans_lock:
             completed, self._orphans = self._orphans, []
         for shard in self.shards:
             with shard.lock:
-                pending = list(shard.batcher.drain())
-            for batch in pending:
-                self._dispatch(shard, batch)
+                released = list(release(shard.batcher))
+            for batch in released:
+                shard.dispatch(batch, self.compute_pool)
             with shard.lock:
                 completed.extend(shard.completed)
                 shard.completed = []
@@ -564,18 +900,6 @@ class ShardedServingService:
     @property
     def pending_count(self) -> int:
         return sum(shard.batcher.pending_count for shard in self.shards)
-
-    def _dispatch(self, shard: Shard, batch: Batch) -> None:
-        """Three-phase dispatch on the owning shard (lock must not be held).
-
-        The buffer callback re-reads ``shard.completed`` per call (under
-        the shard lock) because ``poll``/``drain`` swap the list out.
-        """
-        _dispatch_batch(batch, lock=shard.lock, registry=shard.registry,
-                        cache=shard.cache, telemetry=shard.telemetry,
-                        config=self.config,
-                        buffer_result=lambda r: shard.completed.append(r),
-                        pool=self.compute_pool)
 
     # ---------------------------------------------------------- observability
     def telemetry_snapshot(self) -> dict[str, object]:

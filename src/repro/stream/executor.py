@@ -90,9 +90,9 @@ class RetrainExecutor:
     Parameters
     ----------
     service:
-        The serving façade to install into — :class:`FloorServingService`
-        or :class:`ShardedServingService`; only ``model_for``,
-        ``install_building``, ``grafics_config`` and ``telemetry`` are used.
+        The serving façade to install into (:class:`ShardedServingService`,
+        any shard count); only ``model_for``, ``install_building``,
+        ``grafics_config`` and ``telemetry`` are used.
     max_workers:
         ``0`` executes jobs synchronously inside :meth:`submit` (the
         pre-split behaviour); ``>= 1`` runs them on a thread pool and

@@ -20,14 +20,6 @@ from repro.stream.drift import DriftKind
 from obs_helpers import FakeClock
 
 
-class FakeService:
-    """Minimal one-lock serving façade: telemetry + building ids."""
-
-    def __init__(self, clock, building_ids=("bldg-A",)):
-        self.telemetry = MetricsRegistry(clock=clock)
-        self.building_ids = list(building_ids)
-
-
 class FakeShard:
     def __init__(self, index, clock, buildings):
         self.index = index
@@ -49,6 +41,13 @@ class FakeShardedService:
 
     def shard_for(self, building_id):
         return self._owner[building_id]
+
+
+class FakeService(FakeShardedService):
+    """Minimal one-shard serving façade: every building on ``shards[0]``."""
+
+    def __init__(self, clock, building_ids=("bldg-A",)):
+        super().__init__(clock, [list(building_ids)])
 
 
 class FakeDrift:
@@ -84,7 +83,7 @@ def clock():
 def _drive_latency(monitor, clock, seconds, samples=10, step=1.0):
     """Record ``samples`` request latencies, observing after each."""
     for _ in range(samples):
-        monitor.service.telemetry.observe("request_seconds", seconds)
+        monitor.service.shards[0].telemetry.observe("request_seconds", seconds)
         clock.advance(step)
         monitor.observe()
 
@@ -136,7 +135,8 @@ class TestVerdictFusion:
         assert report["status"] == "healthy"
         assert report["buildings"]["bldg-A"]["status"] == "healthy"
         assert report["buildings"]["bldg-A"]["reasons"] == []
-        assert report["shards"] == {}
+        assert list(report["shards"]) == ["shard0"]
+        assert report["shards"]["shard0"]["status"] == "healthy"
 
     def test_latency_spike_degrades_then_recovers(self, clock):
         monitor = HealthMonitor(FakeService(clock), clock=clock)
@@ -239,8 +239,8 @@ class TestServiceScorecard:
     def test_cache_hit_rate_floor(self, clock):
         service = FakeService(clock)
         monitor = HealthMonitor(service, clock=clock)
-        service.telemetry.increment("cache_misses_total", 99)
-        service.telemetry.increment("cache_hits_total", 1)
+        service.shards[0].telemetry.increment("cache_misses_total", 99)
+        service.shards[0].telemetry.increment("cache_hits_total", 1)
         clock.advance(5.0)
         card = monitor.report()["buildings"]["bldg-A"]
         (reason,) = card["reasons"]

@@ -167,7 +167,7 @@ class TestPipelineIncidentAcceptance:
             assert latched, "AP churn never latched the drift detector"
             # ...plus an injected latency spike and a rejection storm.
             for _ in range(10):
-                service.telemetry.observe("request_seconds", 2.0)
+                service.shards[0].telemetry.observe("request_seconds", 2.0)
                 clock.advance(1.0)
             for index in range(40):
                 rejected = service.submit(_alien(index))

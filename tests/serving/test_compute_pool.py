@@ -34,7 +34,7 @@ from repro.serving import (  # noqa: E402
     WorkerCrashError,
 )
 from repro.serving.pool import MIN_CHUNK_RECORDS, _slice_bounds  # noqa: E402
-from repro.serving.service import _ServePlan  # noqa: E402
+from repro.serving.sharding import _ServePlan  # noqa: E402
 from repro.serving.telemetry import ServingTelemetry  # noqa: E402
 
 # Workers are started with fork throughout (milliseconds instead of a full

@@ -24,7 +24,7 @@ class TestSequentialEquality:
         assert service.predict_batch(probes) == reference
         # A warm second pass (all cache hits) must return the same thing.
         assert service.predict_batch(probes) == reference
-        assert service.telemetry.counter("cache_hits_total") == len(probes)
+        assert service.telemetry_snapshot()["counters"]["cache_hits_total"] == len(probes)
 
     def test_predict_batch_identical_with_cache_disabled(self, serving_corpus,
                                                          fake_clock):
@@ -33,7 +33,7 @@ class TestSequentialEquality:
         reference = [registry.predict(record) for record in probes]
         service = make_service(registry, fake_clock, enable_cache=False)
         assert service.predict_batch(probes) == reference
-        assert service.telemetry.counter("cache_hits_total") == 0
+        assert service.telemetry_snapshot()["counters"].get("cache_hits_total", 0) == 0
 
     def test_single_predict_matches_reference(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -59,7 +59,7 @@ class TestCacheSemantics:
         twin = SignalRecord(record_id="twin-of-" + probe.record_id,
                             rss=dict(probe.rss))
         second = service.predict(twin)
-        assert service.telemetry.counter("cache_hits_total") == 1
+        assert service.telemetry_snapshot()["counters"]["cache_hits_total"] == 1
         assert second.record_id == "twin-of-" + probe.record_id
         assert (second.building_id, second.floor, second.distance) == \
             (first.building_id, first.floor, first.distance)
@@ -73,7 +73,7 @@ class TestCacheSemantics:
         service.predict(probe)
         fake_clock.advance(31.0)
         service.predict(probe)
-        assert service.telemetry.counter("cache_hits_total") == 0
+        assert service.telemetry_snapshot()["counters"].get("cache_hits_total", 0) == 0
         assert service.cache.expirations == 1
 
 
@@ -92,7 +92,7 @@ class TestMicroBatchedIntake:
             [p.record_id for p in probes[:3]]
         assert all(r.ok and r.source == "batch" for r in results)
         assert all(r.prediction.building_id == building_id for r in results)
-        assert service.telemetry.counter("batch_flush_size_total") == 1
+        assert service.telemetry_snapshot()["counters"]["batch_flush_size_total"] == 1
         # Byte-identical to the sequential reference, like the sync path.
         assert [r.prediction for r in results] == \
             [registry.predict(p) for p in probes[:3]]
@@ -107,7 +107,7 @@ class TestMicroBatchedIntake:
         fake_clock.advance(0.06)
         results = service.poll()
         assert len(results) == 1 and results[0].ok
-        assert service.telemetry.counter("batch_flush_deadline_total") == 1
+        assert service.telemetry_snapshot()["counters"]["batch_flush_deadline_total"] == 1
 
     def test_drain_flushes_everything(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -120,7 +120,7 @@ class TestMicroBatchedIntake:
         results = service.drain()
         assert sorted(r.record_id for r in results) == sorted(submitted)
         assert service.pending_count == 0
-        assert service.telemetry.counter("batch_flush_drain_total") == 2
+        assert service.telemetry_snapshot()["counters"]["batch_flush_drain_total"] == 2
 
     def test_cache_hit_returns_immediately(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -160,7 +160,7 @@ class TestBuildingLifecycle:
         swapped = service.retrain_building(dataset, labels,
                                            model_path=model_path)
         assert model_path.is_file()
-        assert service.telemetry.counter("hot_swaps_total") == 1
+        assert service.telemetry_snapshot()["counters"]["hot_swaps_total"] == 1
         # The hot swap invalidated every cached entry of that building.
         assert len(service.cache) == 0
 

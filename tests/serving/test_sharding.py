@@ -8,6 +8,8 @@ from serving_helpers import FakeClock, clone_registry, interleaved_probes
 
 from repro import SignalRecord
 from repro.core.inference import UnknownEnvironmentError
+from repro.obs import runtime as obs
+from repro.obs.tracer import SpanTracer
 from repro.serving import (
     FloorServingService,
     MacInvertedRouter,
@@ -99,6 +101,34 @@ class TestRoutingEquality:
             service.router.route(stranger)
         with pytest.raises(UnknownEnvironmentError):
             service.predict(stranger)
+
+
+class TestOneTracePerShardCount:
+    @staticmethod
+    def _span_shape(service, probes):
+        """The ``(name, parent name)`` pairs of one traced predict_batch."""
+        tracer, _ = obs.enable(tracer=SpanTracer(clock=FakeClock()))
+        try:
+            service.predict_batch(probes)
+        finally:
+            obs.disable()
+        spans = tracer.spans()
+        names = {span.span_id: span.name for span in spans}
+        return {(span.name, names.get(span.parent_id)) for span in spans}
+
+    def test_span_tree_is_the_same_for_one_and_four_shards(self,
+                                                           serving_corpus):
+        registry, held_out, _ = serving_corpus
+        probes = interleaved_probes(held_out, per_building=4)
+        one = self._span_shape(one_lock_service(registry), probes)
+        four = self._span_shape(sharded_service(registry, num_shards=4),
+                                probes)
+        assert one == four
+        assert {("serving.request", None),
+                ("serving.route", "serving.request"),
+                ("serving.plan", "serving.request"),
+                ("serving.compute", "serving.request"),
+                ("serving.commit", "serving.request")} <= one
 
 
 class TestByteIdenticalServing:

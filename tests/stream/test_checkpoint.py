@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,38 @@ class TestResumeReplaysIdentically:
                   for r in splits["bldg-B"].test_records[:4]]
         assert (resumed.service.predict_batch(probes)
                 == pipeline.service.predict_batch(probes))
+
+    @pytest.mark.parametrize("descriptor_shape, num_shards", [
+        ({"kind": "single"}, 1),
+        ({"kind": "sharded", "num_shards": 4}, 4),
+    ])
+    def test_pre_change_service_descriptors_resume(self, tmp_path,
+                                                   descriptor_shape,
+                                                   num_shards):
+        """Payloads written when the one-lock and the sharded service were
+        two classes: ``"single"`` had no ``num_shards`` and resumes as one
+        shard, ``"sharded"`` keeps its shard count; both serve the same
+        bytes as the pipeline that wrote the checkpoint."""
+        service, splits = train_service(building_ids=("bldg-A", "bldg-B"))
+        pipeline = ContinuousLearningPipeline(service, drift_config())
+        pipeline.process_stream(stream_records(splits["bldg-A"], 30,
+                                               jitter=2.0))
+        pipeline.checkpoint(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "stream_state.json"
+        state = load_stream_state(state_path)
+        state["service"] = {
+            **descriptor_shape,
+            "serving_config": state["service"]["serving_config"],
+            "grafics_config": state["service"]["grafics_config"]}
+        save_stream_state(state, state_path)
+
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        assert resumed.service.num_shards == num_shards
+        probes = [r.without_floor()
+                  for building_id in ("bldg-A", "bldg-B")
+                  for r in splits[building_id].test_records[:4]]
+        assert (pickle.dumps(resumed.service.predict_batch(probes))
+                == pickle.dumps(pipeline.service.predict_batch(probes)))
 
     def test_dedup_filter_memory_survives_resume(self, tmp_path):
         """A duplicate of a pre-checkpoint record must still be rejected."""

@@ -73,7 +73,7 @@ class TestChurnRetrainSwap:
         assert swap_result.retrain.trigger == "drift:mac_churn"
         assert swap_result.retrain.window_records >= 16
         assert service.telemetry.counter("stream_retrains_total") == 1
-        assert service.telemetry.counter("hot_swaps_total") == 1
+        assert service.telemetry_snapshot()["counters"]["hot_swaps_total"] == 1
 
     def test_post_swap_model_is_byte_identical_to_offline_fit(
             self, swapped_pipeline):
