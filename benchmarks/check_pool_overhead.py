@@ -7,7 +7,7 @@ much for that):
 
 1. **Disabled path**: ``compute_workers=0`` (the default) must build no
    pool at all — ``service.compute_pool is None``, no pool key in the
-   telemetry snapshot, and no ``compute_pool_*`` counters minted.  The
+   telemetry snapshot, and no ``compute_pool_*`` counters or gauges.  The
    opt-out is structural, not a runtime branch that could still pay.
 2. **Dispatch overhead**: the *sequential single-record* cold path with
    ``compute_workers=1`` must reach at least ``MIN_POOLED_OVER_INPROCESS``
@@ -72,6 +72,9 @@ def check_disabled_path(model, dataset, probes) -> None:
     counters = snapshot.get("counters", {})
     leaked = [name for name in counters if name.startswith("compute_pool_")]
     assert not leaked, f"disabled pool minted counters: {leaked}"
+    gauges = snapshot.get("gauges", {})
+    leaked = [name for name in gauges if name.startswith("compute_pool_")]
+    assert not leaked, f"disabled pool set gauges: {leaked}"
     print("disabled path: compute_workers=0 builds no pool, no pool "
           "telemetry")
 

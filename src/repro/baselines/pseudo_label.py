@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..core.distance import pairwise_distances
 
 __all__ = ["assign_pseudo_labels"]
 
@@ -54,7 +55,7 @@ def assign_pseudo_labels(record_ids: Sequence[str], embeddings: np.ndarray,
     unlabeled_ids = [rid for rid in record_ids if rid not in labels]
     if unlabeled_ids:
         unlabeled_rows = embeddings[[position[rid] for rid in unlabeled_ids]]
-        distances = cdist(unlabeled_rows, labeled_rows)
+        distances = pairwise_distances(unlabeled_rows, labeled_rows)
         nearest = np.argmin(distances, axis=1)
         for rid, pick in zip(unlabeled_ids, nearest):
             result[rid] = int(labeled_floors[pick])

@@ -1,6 +1,7 @@
 """GRAFICS core: bipartite graph, E-LINE embeddings, clustering and inference."""
 
 from .clustering import ClusterModel, ClusteringResult, ProximityClustering
+from .distance import pairwise_distances
 from .embedding import ELINEEmbedder, EmbeddingConfig, GraphEmbedding, LINEEmbedder
 from .graph import BipartiteGraph, Edge, Node, NodeKind, build_graph
 from .inference import FloorPrediction, OnlineInferenceEngine, UnknownEnvironmentError
@@ -52,6 +53,7 @@ __all__ = [
     "ProximityClustering",
     "ClusteringResult",
     "ClusterModel",
+    "pairwise_distances",
     "OnlineInferenceEngine",
     "FloorPrediction",
     "UnknownEnvironmentError",

@@ -29,7 +29,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..distance import pairwise_distances
 
 __all__ = [
     "MergeStep",
@@ -43,7 +44,7 @@ def average_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean pairwise Euclidean distance between two sets of embeddings (Eq. 11)."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    return float(cdist(a, b).mean())
+    return float(pairwise_distances(a, b).mean())
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ class _AgglomerationState:
 
     def __init__(self, embeddings: np.ndarray, labeled_counts: np.ndarray) -> None:
         n = embeddings.shape[0]
-        self.distance_matrix = cdist(embeddings, embeddings)
+        self.distance_matrix = pairwise_distances(embeddings, embeddings)
         np.fill_diagonal(self.distance_matrix, np.inf)
         self.active = np.ones(n, dtype=bool)
         self.size = np.ones(n, dtype=np.int64)

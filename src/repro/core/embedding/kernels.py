@@ -72,6 +72,21 @@ _SIGMOID_CLIP = 30.0
 #: Floor inside the log() of the loss, mirroring the reference step.
 _LOG_FLOOR = 1e-12
 
+#: Size of the block freed at import to keep per-step temporaries on the
+#: heap (see below).  On the perfbench fleet 512 KiB was enough and
+#: 256 KiB was not; 1 MiB leaves headroom.
+_MALLOC_WARMUP_BYTES = 1 << 20
+
+# A reference step allocates and frees several (B, K, D) temporaries of
+# 160 KiB at the defaults (B=512, K=5, D=8).  glibc starts with a 128 KiB
+# mmap threshold and trims a free heap top above twice that, so each step
+# would fault its temporaries in afresh: ~210k minor page faults per
+# perfbench fleet fit.  Freeing one mmap'd block raises both thresholds to
+# its size (mallopt(3), dynamic mmap threshold), after which the
+# temporaries are reused from the heap: ~900 faults.  Other allocators
+# ignore it.
+np.empty(_MALLOC_WARMUP_BYTES, dtype=np.uint8)
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic function."""

@@ -18,7 +18,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..core.distance import pairwise_distances
 
 __all__ = [
     "SeparationReport",
@@ -44,7 +45,7 @@ def _validate(embeddings: np.ndarray, labels: Sequence[int]) -> tuple[np.ndarray
 def silhouette_score(embeddings: np.ndarray, labels: Sequence[int]) -> float:
     """Mean silhouette coefficient over all samples."""
     embeddings, labels = _validate(embeddings, labels)
-    distances = cdist(embeddings, embeddings)
+    distances = pairwise_distances(embeddings, embeddings)
     unique = np.unique(labels)
     n = embeddings.shape[0]
     scores = np.zeros(n)
@@ -69,7 +70,7 @@ def intra_inter_distance_ratio(embeddings: np.ndarray,
                                labels: Sequence[int]) -> float:
     """Mean intra-floor distance divided by mean inter-floor distance."""
     embeddings, labels = _validate(embeddings, labels)
-    distances = cdist(embeddings, embeddings)
+    distances = pairwise_distances(embeddings, embeddings)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     different = ~(labels[:, None] == labels[None, :])
@@ -89,7 +90,7 @@ def nearest_neighbor_purity(embeddings: np.ndarray, labels: Sequence[int],
     embeddings, labels = _validate(embeddings, labels)
     if k < 1:
         raise ValueError("k must be at least 1")
-    distances = cdist(embeddings, embeddings)
+    distances = pairwise_distances(embeddings, embeddings)
     np.fill_diagonal(distances, np.inf)
     neighbor_indices = np.argsort(distances, axis=1)[:, :k]
     matches = labels[neighbor_indices] == labels[:, None]

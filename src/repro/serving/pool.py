@@ -50,6 +50,9 @@ behind it:
   surfaces as :class:`WorkerCrashError` (a retryable rejection on the
   micro-batched path, never a hang), and the pool respawns the worker
   with a fresh snapshot cache.
+* **Worker footprint is visible.**  Every reply carries the worker's peak
+  resident set size; the parent keeps the maximum over live workers in
+  the ``compute_pool_worker_peak_rss_bytes`` gauge.
 
 The default start method is ``"spawn"``: safe regardless of what threads
 and locks the parent holds when a worker (re)starts, at the cost of
@@ -65,6 +68,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import sys
 import threading
 import time
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -123,6 +127,31 @@ class WorkerCrashError(RuntimeError):
     """
 
 
+def _peak_rss_bytes() -> int:
+    """This process's own peak resident set size, in bytes (0 if unknown).
+
+    Linux's ``VmHWM`` is the high-water mark of the process's current
+    address space.  ``getrusage``'s ``ru_maxrss`` is not usable for
+    spawned workers there: it survives ``execve``, so a worker spawned from
+    a 400 MB parent reports 400 MB while its own peak is about 30 MB.
+    Elsewhere ``ru_maxrss`` is the only source (KiB on most platforms,
+    bytes on macOS).
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        import resource
+    except ImportError:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 def _execute_directives(directives) -> None:
     """Run parent-evaluated fault directives on the worker side."""
     from ..faults.plan import FaultInjected
@@ -150,7 +179,7 @@ def _pool_worker_main(conn: Connection, worker_index: int) -> None:
     directive or slice must not drop it.  Then the directives run, then
     the slices in order; the reply holds one outcome per slice, ending at
     the first failure (a later group can never be the earliest failure of
-    the request).
+    the request), plus the worker's peak RSS in bytes.
 
     Holds at most one snapshot per building — a slice carrying a newer
     generation drops the superseded pickle before installing the new one,
@@ -187,14 +216,15 @@ def _pool_worker_main(conn: Connection, worker_index: int) -> None:
                                  time.perf_counter() - start))
         except Exception as error:  # shipped back, re-raised parent-side
             outcomes.append(("err", error))
+        peak_rss = _peak_rss_bytes()
         try:
-            conn.send(("done", task_id, outcomes))
+            conn.send(("done", task_id, outcomes, peak_rss))
         except Exception:
             # An unpicklable error: ship its repr instead.
             conn.send(("done", task_id, [
                 outcome if outcome[0] == "ok"
                 else ("err", RuntimeError(repr(outcome[1])))
-                for outcome in outcomes]))
+                for outcome in outcomes], peak_rss))
 
 
 def _canonicalize(predictions) -> None:
@@ -282,7 +312,7 @@ class _Worker:
     """
 
     __slots__ = ("index", "process", "conn", "shipped", "inflight",
-                 "outbox", "sender")
+                 "outbox", "sender", "peak_rss")
 
     def __init__(self, index: int, process, conn: Connection) -> None:
         self.index = index
@@ -291,6 +321,8 @@ class _Worker:
         #: ``(building, generation)`` snapshots this worker already holds.
         self.shipped: set[tuple[str, int]] = set()
         self.inflight: dict[int, _Task] = {}
+        #: Peak RSS in bytes, as last reported by the worker (0 until then).
+        self.peak_rss = 0
         self.outbox: queue.SimpleQueue = queue.SimpleQueue()
         self.sender = threading.Thread(
             target=self._send_loop, name=f"compute-pool-sender-{index}",
@@ -324,7 +356,8 @@ class ComputePool:
         ServingTelemetry`.  The pool records its own counters there
         (``compute_pool_dispatch_total``, ``compute_pool_snapshot_ships_
         total``, ``compute_pool_worker_restarts_total``, the
-        ``compute_pool_queue_depth`` gauge) *and* aggregates worker-side
+        ``compute_pool_queue_depth`` and ``compute_pool_worker_peak_rss_
+        bytes`` gauges) *and* aggregates worker-side
         compute timings back into the parent registry (``batch_seconds``
         observations, ``batches_total`` / ``batched_records_total``
         counts), so ``/metrics`` shows one coherent view regardless of
@@ -527,6 +560,8 @@ class ComputePool:
         with self._lock:
             task = worker.inflight.pop(task_id, None)
             self._set_queue_depth_locked()
+            worker.peak_rss = message[3]
+            self._set_peak_rss_locked()
         if task is None:
             return  # already failed by a death handler
         task.resolve((kind, message[2]))
@@ -541,6 +576,7 @@ class ComputePool:
             worker.conn.close()
             replacement = self._spawn(worker.index)
             self._workers[worker.index] = replacement
+            self._set_peak_rss_locked()  # the dead worker's peak is gone
             self._increment("compute_pool_worker_restarts_total")
             # Fail the inflight work only after the respawn is recorded:
             # a caller woken by the rejection must already see the restart
@@ -569,6 +605,12 @@ class ComputePool:
         if self.telemetry is not None:
             depth = sum(len(w.inflight) for w in self._workers)
             self.telemetry.set_gauge("compute_pool_queue_depth", depth)
+
+    def _set_peak_rss_locked(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.set_gauge(
+                "compute_pool_worker_peak_rss_bytes",
+                max(w.peak_rss for w in self._workers))
 
     def _record_slice_stats(self, seconds: float, records: int) -> None:
         """Fold one slice's worker-side measurements into parent telemetry."""

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..core.distance import pairwise_distances
 
 __all__ = ["TSNE", "TSNEConfig"]
 
@@ -78,7 +79,7 @@ class TSNE:
 
     def _joint_probabilities(self, embeddings: np.ndarray) -> np.ndarray:
         n = embeddings.shape[0]
-        squared = cdist(embeddings, embeddings, metric="sqeuclidean")
+        squared = pairwise_distances(embeddings, embeddings, squared=True)
         perplexity = min(self.config.perplexity, max((n - 1) / 3.0, 1.0))
         target_entropy = np.log(perplexity)
         conditional = np.zeros((n, n))
@@ -107,7 +108,7 @@ class TSNE:
         gains = np.ones_like(y)
 
         for iteration in range(config.iterations):
-            affinity = 1.0 / (1.0 + cdist(y, y, metric="sqeuclidean"))
+            affinity = 1.0 / (1.0 + pairwise_distances(y, y, squared=True))
             np.fill_diagonal(affinity, 0.0)
             q = np.maximum(affinity / affinity.sum(), 1e-12)
 

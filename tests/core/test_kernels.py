@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import GRAFICS, GraficsConfig
 from repro.core.embedding import (
     ELINEEmbedder,
@@ -342,3 +347,47 @@ class TestKernelThreading:
                                          warm_start=True, kernel="fused")
         assert model.embedding.config.kernel == "fused"
         assert service.model_for("bldg-c") is model
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads minor page faults from getrusage on Linux")
+def test_reference_steps_reuse_heap_memory():
+    """A reference step's (B, K, D) temporaries are not faulted in afresh.
+
+    Runs in a fresh interpreter: what decides it is the allocator state
+    right after ``import repro``, which a long test session has long since
+    changed.
+    """
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from repro.core.embedding import EmbeddingConfig, make_kernel\n"
+        "from repro.core.embedding.trainer import ObjectiveTerms\n"
+        "config = EmbeddingConfig()\n"
+        "rng = np.random.default_rng(0)\n"
+        "ego, context = (rng.normal(size=(400, config.dimension))\n"
+        "                for _ in range(2))\n"
+        "kernel = make_kernel('reference')\n"
+        "terms = ObjectiveTerms(second_order=True, symmetric=True)\n"
+        "def step():\n"
+        "    heads, tails = rng.integers(0, 400, (2, config.batch_size))\n"
+        "    negatives = rng.integers(\n"
+        "        0, 400, (config.batch_size, config.negative_samples))\n"
+        "    kernel.train_batch(ego, context, heads, tails, negatives,\n"
+        "                       learning_rate=0.01, terms=terms,\n"
+        "                       config=config, rng=rng)\n"
+        "step()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(40):\n"
+        "    step()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # Each temporary is 40 pages; faulting them in afresh costs ~175 faults
+    # per step (7040 over these 40 steps).
+    assert int(result.stdout) < 40 * 10

@@ -26,6 +26,7 @@ from serving_helpers import clone_registry, interleaved_probes, make_service  # 
 from repro.core.pipeline import GRAFICS  # noqa: E402
 from repro.data import make_experiment_split, small_test_building  # noqa: E402
 from repro.obs.health import HealthMonitor  # noqa: E402
+from repro.obs.server import ObsServer  # noqa: E402
 from repro.serving import (  # noqa: E402
     ComputePool,
     FloorServingService,
@@ -270,6 +271,39 @@ class TestPoolLifecycle:
                          "compute_pool_snapshot_ships_total",
                          "compute_pool_queue_depth"):
                 assert name in exposition
+
+    def test_worker_peak_rss_gauge_on_metrics(self, serving_corpus,
+                                              fake_clock):
+        registry, held_out, _ = serving_corpus
+        probes = held_out["bldg-north"][:6]
+        with make_service(registry, fake_clock, enable_cache=False,
+                          compute_workers=1,
+                          compute_start_method="fork") as service:
+            service.predict_batch(probes)
+            gauges = service.telemetry_snapshot()["gauges"]
+            assert gauges["compute_pool_worker_peak_rss_bytes"] > 0
+            body = ObsServer(service).render_metrics()
+            line = next(l for l in body.splitlines() if l.split(" ")[0]
+                        .endswith("compute_pool_worker_peak_rss_bytes"))
+            assert float(line.split()[1]) > 0
+            # Maximum over *live* workers: a respawned worker has not
+            # reported yet.
+            os.kill(service.compute_pool._workers[0].process.pid, 9)
+            deadline = time.monotonic() + 10.0
+            while (service.telemetry.counter(
+                    "compute_pool_worker_restarts_total") == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert service.telemetry.gauge(
+                "compute_pool_worker_peak_rss_bytes") == 0
+            service.predict_batch(probes)
+            assert service.telemetry.gauge(
+                "compute_pool_worker_peak_rss_bytes") > 0
+        without_pool = make_service(registry, fake_clock)
+        without_pool.predict(probes[0])
+        assert not [name for name in without_pool.telemetry_snapshot()["gauges"]
+                    if name.startswith("compute_pool_")]
+        without_pool.close()
 
     def test_worker_restart_after_external_kill(self, serving_corpus,
                                                 fake_clock):
