@@ -31,7 +31,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -52,63 +51,29 @@ CONFIG = GraficsConfig(embedding=EmbeddingConfig(samples_per_edge=40.0, seed=0),
 FULL = {"records_per_floor": 100, "probes": 10, "cold_predicts": 150}
 SMOKE = {"records_per_floor": 40, "probes": 5, "cold_predicts": 40}
 
-#: Interleaved exact/delta rounds the delta-speedup gate medians over.  A
-#: best-of-3 ratio read 1.04 against the 1.05 bar on a 2-CPU host whose
-#: throughput drifts tens of percent within seconds; the median of eleven
-#: alternating per-round ratios is what the gate holds instead.
-AB_ROUNDS = 11
-
-
-def cold_serving_passes(models: dict, dataset, probes, cold_predicts: int,
-                        repeats: int = 3) -> dict[str, list[float]]:
-    """Seconds per cold-path pass of each model, ``repeats`` passes each.
+def measure_cold_serving(model, dataset, probes, cold_predicts: int,
+                         repeats: int = 3) -> dict:
+    """Cold-path throughput of uncached predictions, best of ``repeats``.
 
     The cache is disabled so every prediction takes the full cold path:
     routing, overlay-staged frozen embedding against the trained model and
     the nearest-centroid lookup.  This is the number the mutation-free
-    online path (PR 5) targets.  All models are measured in *interleaved*
-    rounds, alternating which model goes first: this benchmark compares
-    sampler modes against each other and across PRs, and sequential blocks
-    are at the mercy of host clock drift (sustained runs on the CI hosts
-    have been observed to sag by tens of percent within seconds, which
-    would systematically penalise whichever mode runs later).
+    online path targets.
     """
-    services = {}
-    for name, model in models.items():
-        registry = MultiBuildingFloorService(CONFIG)
-        registry.install_model(dataset.building_id, model)
-        service = FloorServingService(registry=registry,
-                                      config=ServingConfig(enable_cache=False))
-        service.predict(probes[0])                # warm-up (engine, router)
-        services[name] = service
-    passes: dict[str, list[float]] = {name: [] for name in services}
-    names = list(services)
-    for round_index in range(repeats):
-        for name in names if round_index % 2 == 0 else names[::-1]:
-            start = time.perf_counter()
-            for i in range(cold_predicts):
-                services[name].predict(probes[i % len(probes)])
-            passes[name].append(time.perf_counter() - start)
-    return passes
-
-
-def _best_pass(seconds: list[float], cold_predicts: int) -> dict:
-    best = min(seconds)
+    registry = MultiBuildingFloorService(CONFIG)
+    registry.install_model(dataset.building_id, model)
+    service = FloorServingService(registry=registry,
+                                  config=ServingConfig(enable_cache=False))
+    service.predict(probes[0])                    # warm-up (engine, router)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for i in range(cold_predicts):
+            service.predict(probes[i % len(probes)])
+        best = min(best, time.perf_counter() - start)
     return {"records": cold_predicts,
             "seconds": round(best, 4),
             "records_per_s": round(cold_predicts / best, 1)}
-
-
-def measure_cold_serving(models: dict, dataset, probes, cold_predicts: int,
-                         repeats: int = 3) -> dict:
-    """Cold-path throughput of uncached predictions, one entry per model.
-
-    Each model reports its best of :func:`cold_serving_passes`.
-    """
-    passes = cold_serving_passes(models, dataset, probes, cold_predicts,
-                                 repeats)
-    return {name: _best_pass(seconds, cold_predicts)
-            for name, seconds in passes.items()}
 
 
 def measure_pool_cold_path(model, dataset, probes, cold_predicts: int,
@@ -118,7 +83,7 @@ def measure_pool_cold_path(model, dataset, probes, cold_predicts: int,
     Both services run the same uncached ``predict_batch`` workload — one
     miss group chunked across the pool's worker processes (PR 10) versus
     the single-threaded in-process compute path — in alternating best-of-N
-    passes, same drift discipline as :func:`measure_cold_serving`.  Probe
+    passes, so both sides see the same host-speed drift.  Probe
     copies get unique record ids so every prediction is a distinct cold
     record, and the pooled output is checked byte-for-byte against the
     in-process reference (per prediction: the pool's contract is identical
@@ -245,41 +210,19 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
         model.predict(probe, persist=False)
     online_seconds = (time.perf_counter() - start) / sizes["probes"]
 
-    # The same trained model served with the composed delta negative
-    # sampler (sampler_mode="delta"): no per-predict O(V) alias rebuild.
-    delta_model = model.with_sampler_mode("delta")
-    passes = cold_serving_passes({"exact": model, "delta": delta_model},
-                                 dataset, probes, sizes["cold_predicts"],
-                                 repeats=AB_ROUNDS)
-    cold = _best_pass(passes["exact"], sizes["cold_predicts"])
-    delta_cold = _best_pass(passes["delta"], sizes["cold_predicts"])
-    # Same-round ratios: both modes of a round see the same host speed.
-    delta_rounds = sorted(exact / delta for exact, delta
-                          in zip(passes["exact"], passes["delta"]))
-    delta_speedup = statistics.median(delta_rounds)
-    print(f"delta-sampler cold-path speedup over {AB_ROUNDS} interleaved "
-          f"rounds: min {delta_rounds[0]:.2f} / median {delta_speedup:.2f} "
-          f"/ max {delta_rounds[-1]:.2f}")
+    cold = measure_cold_serving(model, dataset, probes,
+                                sizes["cold_predicts"])
     pool = measure_pool_cold_path(model, dataset, probes,
                                   sizes["cold_predicts"], pool_workers)
     traced = measure_traced_cold_path(model, dataset, probes,
                                       sizes["cold_predicts"],
                                       artifacts_dir=artifacts_dir)
-    delta_traced = measure_traced_cold_path(delta_model, dataset, probes,
-                                            sizes["cold_predicts"])
 
-    # Accuracy parity: both modes sample the same noise distribution, so
-    # they must identify floors equally well.  Scored over the whole test
-    # split (not just the timing probes) so the comparison is not at the
-    # mercy of a handful of borderline records.
-    parity_probes = [(r.without_floor(), r.floor) for r in split.test_records]
-    exact_hits = sum(model.predict(p).floor == floor
-                     for p, floor in parity_probes)
-    delta_hits = sum(delta_model.predict(p).floor == floor
-                     for p, floor in parity_probes)
-    accuracy = {"exact": round(exact_hits / len(parity_probes), 3),
-                "delta": round(delta_hits / len(parity_probes), 3),
-                "records": len(parity_probes)}
+    # Floor accuracy of the online path over the whole test split.
+    scored = [(r.without_floor(), r.floor) for r in split.test_records]
+    hits = sum(model.predict(p).floor == floor for p, floor in scored)
+    accuracy = {"exact": round(hits / len(scored), 3),
+                "records": len(scored)}
 
     speedup = full_refit_seconds / max(online_seconds, 1e-9)
     rows = [
@@ -294,12 +237,6 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
          "value": traced["records_per_s"]},
         {"approach": "alias-table build share of traced spans",
          "value": traced["stage_shares"].get("embed.alias_build", 0.0)},
-        {"approach": "cold serving path, delta sampler (records/s)",
-         "value": delta_cold["records_per_s"]},
-        {"approach": "delta-sampler cold-path speedup (x)",
-         "value": round(delta_speedup, 2)},
-        {"approach": "alias-table build share, delta sampler",
-         "value": delta_traced["stage_shares"].get("embed.alias_build", 0.0)},
         {"approach": f"pooled cold batch, {pool['workers']} worker(s) "
                      f"(records/s)",
          "value": pool["records_per_s"]},
@@ -315,12 +252,6 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
                "speedup": round(speedup, 1),
                "cold_path": cold,
                "traced_cold_path": traced,
-               "delta_cold_path": delta_cold,
-               "delta_traced_cold_path": delta_traced,
-               "delta_speedup": round(delta_speedup, 2),
-               "delta_speedup_spread": [round(delta_rounds[0], 2),
-                                        round(delta_speedup, 2),
-                                        round(delta_rounds[-1], 2)],
                "pool_cold_path": {key: pool[key]
                                   for key in ("records", "seconds",
                                               "records_per_s",
@@ -332,17 +263,9 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
 
     assert online_seconds * 10 < full_refit_seconds
     # Tracing must report where the online path spends its time; the
-    # alias-table build is the known dominant fixed cost of the exact mode
-    # (ROADMAP: ~25%) — and the delta sampler must make it small.
+    # alias-table build is the known dominant fixed cost of the cold path
+    # (ROADMAP: ~25%).
     assert traced["stage_shares"].get("embed.alias_build", 0.0) > 0.05
-    assert delta_traced["stage_shares"].get("embed.alias_build", 1.0) < 0.08
-    # Accuracy-parity gate: the delta mode samples the same distribution,
-    # so it must not cost floor-identification accuracy on the campus preset.
-    assert accuracy["delta"] >= accuracy["exact"] - 1.0 / len(parity_probes)
-    # In-run speedup floor on the median same-round ratio (the history gate
-    # holds the 1.3x line against the committed baseline; this catches a
-    # delta path that stopped paying for itself at all).
-    assert delta_speedup > 1.05, delta_rounds
     # Pool correctness is non-negotiable: chunked multi-process compute
     # must reproduce the in-process bytes exactly.  The speed floors are
     # deliberately loose — this container has a single CPU, so workers=1

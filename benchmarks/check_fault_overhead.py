@@ -85,11 +85,11 @@ def check_cold_path_ratio() -> tuple[float, float]:
         else:
             faults.uninstall()
         try:
-            result = measure_cold_serving({"model": model}, dataset, probes,
+            result = measure_cold_serving(model, dataset, probes,
                                           sizes["cold_predicts"])
         finally:
             faults.uninstall()
-        return result["model"]["records_per_s"]
+        return result["records_per_s"]
 
     ratios: list[float] = []
     rounds: list[tuple[float, float]] = []

@@ -81,11 +81,11 @@ def check_cold_path_ratio() -> tuple[float, float]:
         else:
             obs.disable()
         try:
-            result = measure_cold_serving({"model": model}, dataset, probes,
+            result = measure_cold_serving(model, dataset, probes,
                                           sizes["cold_predicts"])
         finally:
             obs.disable()
-        return result["model"]["records_per_s"]
+        return result["records_per_s"]
 
     # Interleave the A/B pairs and alternate which mode goes first: a CPU
     # frequency ramp or a noisy neighbour then hits both modes evenly, and

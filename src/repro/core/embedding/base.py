@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graph import BipartiteGraph
-from .kernels import validate_kernel
-from .sampler import validate_sampler_mode
 
 __all__ = ["EmbeddingConfig", "GraphEmbedding", "GraphEmbedder"]
 
@@ -45,19 +43,6 @@ class EmbeddingConfig:
         Embeddings are initialised uniformly in ``[-init_scale, init_scale]``.
     seed:
         Seed of the training random generator (``None`` for nondeterministic).
-    kernel:
-        Mini-batch training kernel (:mod:`repro.core.embedding.kernels`):
-        ``"reference"`` (default; bit-for-bit the historical update, backing
-        every byte-identity guarantee) or ``"fused"`` (2x+ throughput,
-        seed-deterministic, tolerance-equivalent to the reference).
-    sampler_mode:
-        Negative-sampler construction on overlay graphs (the per-prediction
-        cold path): ``"exact"`` (default; rebuild the full alias table,
-        byte-identical to the historical path) or ``"delta"`` (compose the
-        base graph's cached sampler with the overlay's staged delta — the
-        same noise distribution exactly, but a different RNG consumption
-        order, so predictions are equal in accuracy rather than bytes).
-        Ordinary (non-overlay) fits are unaffected by this setting.
     """
 
     dimension: int = 8
@@ -69,8 +54,6 @@ class EmbeddingConfig:
     dropout: float = 0.1
     init_scale: float = 0.5
     seed: int | None = 0
-    kernel: str = "reference"
-    sampler_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -85,8 +68,6 @@ class EmbeddingConfig:
             raise ValueError("batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        validate_kernel(self.kernel)
-        validate_sampler_mode(self.sampler_mode)
 
 
 @dataclass
@@ -158,18 +139,10 @@ class GraphEmbedding:
 
 
 class GraphEmbedder(ABC):
-    """Base class for algorithms that embed the bipartite graph's nodes.
+    """Base class for algorithms that embed the bipartite graph's nodes."""
 
-    ``kernel`` optionally overrides ``config.kernel`` for this embedder
-    (convenience for call sites that thread a kernel choice without
-    rebuilding the whole config).
-    """
-
-    def __init__(self, config: EmbeddingConfig | None = None,
-                 kernel: str | None = None) -> None:
+    def __init__(self, config: EmbeddingConfig | None = None) -> None:
         self.config = config or EmbeddingConfig()
-        if kernel is not None and kernel != self.config.kernel:
-            self.config = replace(self.config, kernel=kernel)
 
     @abstractmethod
     def fit(self, graph: BipartiteGraph,

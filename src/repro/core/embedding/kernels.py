@@ -1,70 +1,31 @@
-"""Pluggable mini-batch training kernels for the edge-sampling SGD engine.
+"""The mini-batch training kernel of the edge-sampling SGD engine.
 
 The :class:`~repro.core.embedding.trainer.EdgeSamplingTrainer` owns *what* to
-train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
-*how* one mini-batch updates the embedding tables.  Two kernels ship:
+train on (sampled edges, negatives, the learning-rate schedule);
+:class:`ReferenceKernel` owns *how* one mini-batch updates the embedding
+tables: one skip-gram step per objective term (paper Eq. 10), each gathering
+its own rows and scattering its gradients through ``np.add.at``.  Every
+byte-identity guarantee of the serving and streaming stacks (cache hits equal
+recomputation, checkpoint-resume replays, every shard count alike) is stated
+— and test-enforced — against this update.
 
-* ``reference`` — bit-for-bit the original ``_skipgram_step`` implementation:
-  one skip-gram step per objective term, each gathering its own rows and
-  scattering its gradients through ``np.add.at``.  This is the default, and
-  every byte-identity guarantee of the serving and streaming stacks (cache
-  hits equal recomputation, checkpoint-resume replays, every shard count alike)
-  is stated — and test-enforced — against it.  Frozen training (a
-  ``trainable`` mask, the online-inference path) computes and scatters only
-  the trainable-row subset of the gradients; the subset updates are the
-  same values in the same accumulation order as the historical
-  full-batch-then-mask scatter (whose masked-out updates were exact zeros),
-  so online predictions remain byte-identical while the per-batch cost
-  tracks the handful of trainable rows.
-
-* ``fused`` — a throughput-optimised kernel that processes all enabled
-  objective terms from one pre-batch snapshot of the tables:
-
-  - the positive target and the ``K`` negative targets are gathered as one
-    ``(B, K+1)`` row block, so scores, sigmoids and loss terms for positives
-    and negatives fuse into single vectorised passes over preallocated
-    buffers;
-  - the three ``np.add.at`` scatters per term are replaced by one weighted
-    ``np.bincount`` segment-sum per table over flattened ``row * D + d``
-    bins, covering the ``B`` source-row gradients and the ``B*(K+1)`` target
-    updates together; the ``(B, K, D)`` negative-gradient tensor of the
-    reference kernel is never allocated per batch — the
-    coefficient-times-source products broadcast straight into a slice of one
-    reusable weight buffer;
-  - all enabled terms share the sampled edges/negatives and the gathered row
-    blocks, and their updates are applied after all terms are evaluated
-    (Jacobi-style within a batch, where the reference applies terms
-    sequentially, Gauss-Seidel-style).
-
-  The fused kernel consumes the training RNG in exactly the same order as the
-  reference (dropout masks are drawn per term, same shapes, same sequence),
-  so it is seed-deterministic: the same seed always yields the same
-  embeddings.  Its results differ from the reference only through float
-  summation order and the within-batch term ordering; the test suite pins it
-  to the reference within tolerance on a single batch and to equal end-to-end
-  floor accuracy on the synthetic presets.
-
-Kernels are selected through ``EmbeddingConfig.kernel`` and threaded through
-``GRAFICS.fit``, the serving retrain path and the streaming retrain executor;
-see the README's "Performance & training kernels" section.
+A step writes its gathers, scores and gradients into scratch buffers held by
+the kernel per ``(B, K, D)`` shape, with the same ufuncs in the same order as
+freshly allocated temporaries would take, so the bytes are unchanged while
+the per-step ``(B, K, D)`` blocks are allocated once per trainer instead of
+once per term of every step.  Frozen training (a ``trainable`` mask, the
+online-inference path) computes and scatters only the trainable-row subset
+of the gradients; the subset updates are the same values in the same
+accumulation order as the historical full-batch-then-mask scatter (whose
+masked-out updates were exact zeros), so online predictions remain
+byte-identical while the per-batch cost tracks the handful of trainable rows.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import ClassVar
-
 import numpy as np
 
-__all__ = [
-    "KERNEL_NAMES",
-    "TrainingKernel",
-    "ReferenceKernel",
-    "FusedKernel",
-    "make_kernel",
-    "validate_kernel",
-    "sigmoid",
-]
+__all__ = ["ReferenceKernel", "sigmoid"]
 
 #: Clip for the sigmoid argument to avoid overflow in exp().
 _SIGMOID_CLIP = 30.0
@@ -72,38 +33,58 @@ _SIGMOID_CLIP = 30.0
 #: Floor inside the log() of the loss, mirroring the reference step.
 _LOG_FLOOR = 1e-12
 
-#: Size of the block freed at import to keep per-step temporaries on the
-#: heap (see below).  On the perfbench fleet 512 KiB was enough and
-#: 256 KiB was not; 1 MiB leaves headroom.
+#: Size of the block freed at import to keep per-fit arrays on the heap.
 _MALLOC_WARMUP_BYTES = 1 << 20
 
-# A reference step allocates and frees several (B, K, D) temporaries of
-# 160 KiB at the defaults (B=512, K=5, D=8).  glibc starts with a 128 KiB
-# mmap threshold and trims a free heap top above twice that, so each step
-# would fault its temporaries in afresh: ~210k minor page faults per
-# perfbench fleet fit.  Freeing one mmap'd block raises both thresholds to
-# its size (mallopt(3), dynamic mmap threshold), after which the
-# temporaries are reused from the heap: ~900 faults.  Other allocators
-# ignore it.
+# glibc starts with a 128 KiB mmap threshold and trims a free heap top above
+# twice that, so every fit would fault its larger arrays (the (B, K, D)
+# step scratch at 160 KiB with the defaults, sampler tables, embedding
+# tables) in afresh.  Freeing one mmap'd block raises both thresholds to its
+# size (mallopt(3), dynamic mmap threshold), after which they are reused
+# from the heap: ~2.4k minor faults per perfbench fleet fit instead of
+# ~2.8k.  Other allocators ignore it.
 np.empty(_MALLOC_WARMUP_BYTES, dtype=np.uint8)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically safe logistic function."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically safe logistic function (in place when ``out`` is given)."""
+    out = np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-class TrainingKernel(ABC):
+class _StepBuffers:
+    """Scratch arrays for one ``(B, K, D)`` step shape."""
+
+    def __init__(self, batch: int, negatives: int, dim: int) -> None:
+        self.source = np.empty((batch, dim))
+        self.positive_target = np.empty((batch, dim))
+        self.negative_target = np.empty((batch, negatives, dim))
+        self.uniform = np.empty((batch, dim))
+        self.keep = np.empty((batch, dim), dtype=bool)
+        self.mask = np.empty((batch, dim))
+        self.pos_sig = np.empty(batch)
+        self.neg_sig = np.empty((batch, negatives))
+        self.pos_coeff = np.empty(batch)
+        self.grad_source = np.empty((batch, dim))
+        self.grad_mixed = np.empty((batch, dim))
+        self.grad_positive = np.empty((batch, dim))
+        self.grad_negative = np.empty((batch, negatives, dim))
+
+
+class ReferenceKernel:
     """One mini-batch of negative-sampling SGD over the embedding tables.
 
-    A kernel is stateless with respect to training progress — everything it
-    needs arrives per call — but may keep internal scratch buffers, so one
-    kernel instance belongs to one trainer (it is not shared across threads).
+    Stateless with respect to training progress — everything it needs
+    arrives per call — but it keeps scratch buffers, so one kernel instance
+    belongs to one trainer (it is not shared across threads).
     """
 
-    name: ClassVar[str]
+    def __init__(self) -> None:
+        self._scratch: dict[tuple[int, int, int], _StepBuffers] = {}
 
-    @abstractmethod
     def train_batch(self, ego: np.ndarray, context: np.ndarray,
                     heads: np.ndarray, tails: np.ndarray,
                     negatives: np.ndarray, *, learning_rate: float,
@@ -116,25 +97,23 @@ class TrainingKernel(ABC):
         ``terms`` selects the objective terms (an ``ObjectiveTerms``), and
         ``trainable`` optionally masks which rows may receive updates.
         """
-
-
-class ReferenceKernel(TrainingKernel):
-    """The original per-term skip-gram step — the byte-identity baseline."""
-
-    name = "reference"
-
-    def train_batch(self, ego, context, heads, tails, negatives, *,
-                    learning_rate, terms, config, rng, trainable=None):
+        shape = negatives.shape + (ego.shape[1],)
+        buffers = self._scratch.get(shape)
+        if buffers is None:
+            buffers = self._scratch[shape] = _StepBuffers(*shape)
         loss = 0.0
         if terms.second_order:
             loss += self._skipgram_step(ego, context, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+                                        learning_rate, trainable, config, rng,
+                                        buffers)
         if terms.symmetric:
             loss += self._skipgram_step(context, ego, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+                                        learning_rate, trainable, config, rng,
+                                        buffers)
         if terms.first_order:
             loss += self._skipgram_step(ego, ego, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+                                        learning_rate, trainable, config, rng,
+                                        buffers)
         return loss
 
     @staticmethod
@@ -142,7 +121,8 @@ class ReferenceKernel(TrainingKernel):
                        heads: np.ndarray, tails: np.ndarray,
                        negatives: np.ndarray, lr: float,
                        trainable: np.ndarray | None, config,
-                       rng: np.random.Generator) -> float:
+                       rng: np.random.Generator,
+                       buffers: _StepBuffers) -> float:
         """One negative-sampling step: pull source[heads] towards target[tails].
 
         ``source_table`` and ``target_table`` select which embedding matrix
@@ -150,38 +130,54 @@ class ReferenceKernel(TrainingKernel):
         second-order term, (context, ego) the E-LINE symmetric term and
         (ego, ego) the first-order term.
         """
-        source = source_table[heads]                      # (B, D)
-        positive_target = target_table[tails]             # (B, D)
-        negative_target = target_table[negatives]         # (B, K, D)
+        # mode="clip" lets take() write straight into ``out`` (the default
+        # "raise" buffers the result first); sampled indices are in range.
+        source = np.take(source_table, heads, axis=0, out=buffers.source,
+                         mode="clip")                     # (B, D)
+        positive_target = np.take(target_table, tails, axis=0,
+                                  out=buffers.positive_target,
+                                  mode="clip")            # (B, D)
+        negative_target = np.take(target_table, negatives, axis=0,
+                                  out=buffers.negative_target,
+                                  mode="clip")            # (B, K, D)
 
         if config.dropout > 0.0:
             keep = 1.0 - config.dropout
-            mask = (rng.random(source.shape) < keep) / keep
-            source = source * mask
+            rng.random(out=buffers.uniform)
+            np.less(buffers.uniform, keep, out=buffers.keep)
+            np.divide(buffers.keep, keep, out=buffers.mask)
+            np.multiply(source, buffers.mask, out=source)
 
-        pos_score = np.einsum("bd,bd->b", source, positive_target)
-        neg_score = np.einsum("bd,bkd->bk", source, negative_target)
-
-        pos_sig = sigmoid(pos_score)
-        neg_sig = sigmoid(neg_score)
+        pos_sig = sigmoid(np.einsum("bd,bd->b", source, positive_target,
+                                    out=buffers.pos_sig), out=buffers.pos_sig)
+        neg_sig = sigmoid(np.einsum("bd,bkd->bk", source, negative_target,
+                                    out=buffers.neg_sig), out=buffers.neg_sig)
 
         # Gradients of the negative-sampling loss
         #   -log sigma(pos) - sum_k log sigma(-neg_k)
-        pos_coeff = pos_sig - 1.0                          # (B,)
-        neg_coeff = neg_sig                                # (B, K)
+        pos_coeff = np.subtract(pos_sig, 1.0, out=buffers.pos_coeff)  # (B,)
+        neg_coeff = neg_sig                                           # (B, K)
 
         if trainable is None:
-            grad_source = (pos_coeff[:, None] * positive_target
-                           + np.einsum("bk,bkd->bd", neg_coeff,
-                                       negative_target))
-            grad_positive = pos_coeff[:, None] * source
-            grad_negative = neg_coeff[:, :, None] * source[:, None, :]
+            grad_source = np.multiply(pos_coeff[:, None], positive_target,
+                                      out=buffers.grad_source)
+            np.add(grad_source,
+                   np.einsum("bk,bkd->bd", neg_coeff, negative_target,
+                             out=buffers.grad_mixed),
+                   out=grad_source)
+            grad_positive = np.multiply(pos_coeff[:, None], source,
+                                        out=buffers.grad_positive)
+            grad_negative = np.multiply(neg_coeff[:, :, None],
+                                        source[:, None, :],
+                                        out=buffers.grad_negative)
 
-            np.add.at(source_table, heads, -lr * grad_source)
-            np.add.at(target_table, tails, -lr * grad_positive)
+            np.add.at(source_table, heads,
+                      np.multiply(grad_source, -lr, out=grad_source))
+            np.add.at(target_table, tails,
+                      np.multiply(grad_positive, -lr, out=grad_positive))
             np.add.at(target_table, negatives.ravel(),
-                      -lr * grad_negative.reshape(-1,
-                                                  grad_negative.shape[-1]))
+                      np.multiply(grad_negative, -lr, out=grad_negative)
+                      .reshape(-1, grad_negative.shape[-1]))
         else:
             # Frozen training (online inference): gradients land on the few
             # trainable rows only, so compute and scatter just that subset.
@@ -213,254 +209,3 @@ class ReferenceKernel(TrainingKernel):
             pos_loss = -np.log(np.maximum(pos_sig, _LOG_FLOOR)).sum()
             neg_loss = -np.log(np.maximum(1.0 - neg_sig, _LOG_FLOOR)).sum()
         return float(pos_loss + neg_loss)
-
-
-class FusedKernel(TrainingKernel):
-    """Segment-sum scatter kernel sharing samples and gathers across terms."""
-
-    name = "fused"
-
-    #: When the table is more than this many times larger than the per-batch
-    #: update count, the scatter compacts the touched rows via ``np.unique``
-    #: instead of running a full-table bincount.  The compact branch applies
-    #: the dense and outer contributions in two subtractions instead of one,
-    #: so the paths agree to the last few ulps (test-enforced), not
-    #: bit-for-bit.  The choice depends on the batch size, so a truncated
-    #: final batch of a large-table run may take the compact branch while
-    #: the full batches took the direct one; for a given (config, graph,
-    #: sample budget) the branch sequence is still deterministic.
-    _COMPACT_RATIO = 4
-
-    def __init__(self) -> None:
-        self._scratch: dict = {}
-
-    # -------------------------------------------------------------- scratch
-    def _buffers(self, count: int, batch: int, block: int, dim: int) -> dict:
-        """Per-(terms, B, K+1, D) scratch buffers, reused across batches."""
-        buffers = self._scratch.get((count, batch, block, dim))
-        if buffers is None:
-            flat = batch * block
-            bins = np.empty(batch * dim + flat * dim, dtype=np.int64)
-            buffers = {
-                "tgt_idx": np.empty((batch, block), dtype=np.int64),
-                "sources": np.empty((count, batch, dim)),
-                "targets": np.empty((count, flat, dim)),
-                "uniform": np.empty((count, batch, dim)),
-                "mask": np.empty((count, batch, dim), dtype=bool),
-                "sig": np.empty((count * batch, block)),
-                "lbuf": np.empty((count * batch, block)),
-                "grads": np.empty((count * batch, dim)),
-                # Flattened (row, dim) -> row * dim + d scatter bins; the
-                # head bins and the target bins live in one contiguous
-                # buffer so the common one-dense-one-outer scatter needs no
-                # concatenation at all.
-                "bins": bins,
-                "head_bins": bins[:batch * dim].reshape(batch, dim),
-                "target_bins": bins[batch * dim:].reshape(flat, dim),
-                "head_scaled": np.empty(batch, dtype=np.int64),
-                "target_scaled": np.empty(flat, dtype=np.int64),
-                "dim_range": np.arange(dim, dtype=np.int64),
-                "weights": np.empty(batch * dim + flat * dim),
-            }
-            self._scratch[(count, batch, block, dim)] = buffers
-        return buffers
-
-    # ---------------------------------------------------------------- batch
-    def train_batch(self, ego, context, heads, tails, negatives, *,
-                    learning_rate, terms, config, rng, trainable=None):
-        batch, num_negatives = negatives.shape
-        dim = ego.shape[1]
-        block = num_negatives + 1
-
-        # Same term ordering as the reference kernel (second, symmetric,
-        # first) so the dropout-mask RNG stream is consumed identically.
-        term_tables = []
-        if terms.second_order:
-            term_tables.append((ego, context))
-        if terms.symmetric:
-            term_tables.append((context, ego))
-        if terms.first_order:
-            term_tables.append((ego, ego))
-        count = len(term_tables)
-        buffers = self._buffers(count, batch, block, dim)
-
-        # One (B, K+1) index block per batch: column 0 is the positive
-        # target, columns 1..K the negatives — one gather, one score einsum
-        # and one sigmoid pass cover both roles; stacking the terms on a
-        # leading axis turns per-term passes into single calls.
-        target_idx = buffers["tgt_idx"]
-        target_idx[:, 0] = tails
-        target_idx[:, 1:] = negatives
-        target_flat = target_idx.ravel()
-
-        sources = buffers["sources"]                   # (T, B, D)
-        targets = buffers["targets"]                   # (T, B*(K+1), D)
-        for slot, (source_table, target_table) in enumerate(term_tables):
-            np.take(source_table, heads, axis=0, out=sources[slot],
-                    mode="clip")
-            np.take(target_table, target_flat, axis=0, out=targets[slot],
-                    mode="clip")
-        if config.dropout > 0.0:
-            keep = 1.0 - config.dropout
-            # One (T, B, D) draw consumes the stream exactly like T
-            # consecutive (B, D) draws; `src * mask < keep / keep` and
-            # `(src * bool) * (1/keep)` are bit-equal, and the boolean
-            # product avoids materialising a float mask.
-            rng.random(out=buffers["uniform"])
-            np.less(buffers["uniform"], keep, out=buffers["mask"])
-            sources *= buffers["mask"]
-            sources *= 1.0 / keep
-
-        flat_sources = sources.reshape(count * batch, dim)
-        flat_targets = targets.reshape(count * batch, block, dim)
-        sig = buffers["sig"]
-        np.einsum("bkd,bd->bk", flat_targets, flat_sources, out=sig)
-        np.clip(sig, -_SIGMOID_CLIP, _SIGMOID_CLIP, out=sig)
-        np.negative(sig, out=sig)
-        np.exp(sig, out=sig)
-        sig += 1.0
-        np.reciprocal(sig, out=sig)
-
-        # Loss: -log(sig) for the positive column, -log(1 - sig) for the
-        # negatives, floored like the reference.
-        lbuf = buffers["lbuf"]
-        np.subtract(1.0, sig, out=lbuf)
-        lbuf[:, 0] = sig[:, 0]
-        np.maximum(lbuf, _LOG_FLOOR, out=lbuf)
-        np.log(lbuf, out=lbuf)
-        loss = -float(lbuf.sum())
-
-        # Gradient coefficients reuse the sigmoid buffer in place: sig - 1
-        # on the positive column, sig on the negatives.  grad wrt a source
-        # row is its coefficient row times its target block.
-        sig[:, 0] -= 1.0
-        grad_sources = buffers["grads"]
-        np.einsum("bk,bkd->bd", sig, flat_targets, out=grad_sources)
-        coeff = sig.reshape(count, batch, block)
-        grads = grad_sources.reshape(count, batch, dim)
-        if trainable is not None:
-            grads *= trainable[heads][:, None]
-            coeff *= trainable[target_flat].reshape(batch, block)
-
-        # The scatter-bin vector (see _scatter) only depends on the
-        # per-table part structure — every dense part scatters to ``heads``
-        # and every outer part to ``target_flat`` — so tables with the same
-        # structure share one bin build per batch.
-        index_cache: dict = {}
-        for table in (ego, context):
-            dense = [grads[slot] for slot, (source_table, _)
-                     in enumerate(term_tables) if source_table is table]
-            outer = [(coeff[slot], sources[slot]) for slot, (_, target_table)
-                     in enumerate(term_tables) if target_table is table]
-            if dense or outer:
-                self._scatter(table, dense, outer, heads, target_flat,
-                              learning_rate, index_cache, buffers)
-        return loss
-
-    # -------------------------------------------------------------- scatter
-    def _scatter(self, table, dense, outer, heads, target_flat, lr,
-                 index_cache, buffers):
-        """One fused segment-sum per table — no (B, K, D) gradient tensor.
-
-        Every update is a (row, dim) -> value triple; flattening the pair to
-        ``row * dim + d`` turns the whole scatter (source-row gradients and
-        per-negative coefficient-times-source products alike) into a single
-        weighted ``np.bincount``.  The weights are written into one
-        preallocated buffer — broadcast products for the outer parts land
-        directly in their slice, so the per-example gradient block is never
-        allocated per batch.
-        """
-        rows, dim = table.shape
-        dense_size = heads.size * dim
-        outer_size = target_flat.size * dim
-        total_size = len(dense) * dense_size + len(outer) * outer_size
-        if rows * dim > self._COMPACT_RATIO * total_size:
-            self._scatter_compact(table, dense, outer, heads, target_flat,
-                                  lr, buffers)
-            return
-        if not index_cache:
-            # First scatter of this batch: fill the shared bin arrays.
-            np.multiply(heads, dim, out=buffers["head_scaled"])
-            np.add(buffers["head_scaled"][:, None], buffers["dim_range"],
-                   out=buffers["head_bins"])
-            np.multiply(target_flat, dim, out=buffers["target_scaled"])
-            np.add(buffers["target_scaled"][:, None], buffers["dim_range"],
-                   out=buffers["target_bins"])
-            index_cache["filled"] = True
-        key = (len(dense), len(outer))
-        index = index_cache.get(key)
-        if index is None:
-            if key == (1, 1):
-                index = buffers["bins"]
-            elif key == (1, 0):
-                index = buffers["bins"][:dense_size]
-            elif key == (0, 1):
-                index = buffers["bins"][dense_size:]
-            else:
-                index = np.concatenate(
-                    [buffers["bins"][:dense_size]] * len(dense)
-                    + [buffers["bins"][dense_size:]] * len(outer))
-            index_cache[key] = index
-        shared = buffers["weights"]
-        weights = (shared[:index.size] if index.size <= shared.size
-                   else np.empty(index.size))
-        offset = 0
-        for grad in dense:
-            weights[offset:offset + dense_size].reshape(grad.shape)[:] = grad
-            offset += dense_size
-        for coeff, source in outer:
-            block = weights[offset:offset + outer_size]
-            np.einsum("bk,bd->bkd", coeff, source,
-                      out=block.reshape(coeff.shape + (dim,)))
-            offset += outer_size
-        totals = np.bincount(index, weights=weights, minlength=rows * dim)
-        np.multiply(totals, lr, out=totals)
-        table -= totals.reshape(rows, dim)
-
-    def _scatter_compact(self, table, dense, outer, heads, target_flat, lr,
-                         buffers):
-        """Large sparse tables: scatter the few dense rows directly and
-        compact the outer updates to the touched rows before bincounting."""
-        for grad in dense:
-            np.add.at(table, heads, grad * (-lr))
-        if not outer:
-            return
-        dim = table.shape[1]
-        outer_size = target_flat.size * dim
-        unique, inverse = np.unique(target_flat, return_inverse=True)
-        compact = (inverse[:, None] * dim
-                   + buffers["dim_range"]).ravel()
-        weights = np.empty(len(outer) * outer_size)
-        offset = 0
-        for coeff, source in outer:
-            block = weights[offset:offset + outer_size]
-            np.einsum("bk,bd->bkd", coeff, source,
-                      out=block.reshape(coeff.shape + (dim,)))
-            offset += outer_size
-        if len(outer) > 1:
-            compact = np.tile(compact, len(outer))
-        totals = np.bincount(compact, weights=weights,
-                             minlength=unique.size * dim)
-        table[unique] -= lr * totals.reshape(unique.size, dim)
-
-
-_KERNELS: dict[str, type[TrainingKernel]] = {
-    ReferenceKernel.name: ReferenceKernel,
-    FusedKernel.name: FusedKernel,
-}
-
-#: Names accepted by ``EmbeddingConfig.kernel``.
-KERNEL_NAMES = tuple(sorted(_KERNELS))
-
-
-def validate_kernel(name: str) -> str:
-    """Check a kernel name and return it (shared by every config entry point)."""
-    if name not in _KERNELS:
-        known = ", ".join(KERNEL_NAMES)
-        raise ValueError(f"unknown training kernel {name!r}; known: {known}")
-    return name
-
-
-def make_kernel(name: str) -> TrainingKernel:
-    """Instantiate a training kernel by name (one instance per trainer)."""
-    return _KERNELS[validate_kernel(name)]()

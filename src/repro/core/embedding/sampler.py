@@ -10,6 +10,11 @@ Both algorithms are trained by *edge sampling* with *negative sampling*
 
 Drawing from an arbitrary discrete distribution in O(1) per sample uses
 Walker's alias method, implemented here as :class:`AliasTable`.
+:class:`SamplerCache` keeps the tables of an unchanged graph across
+trainers.  An online prediction's overlay graph gets fresh tables every
+time: its samplers draw from the composed (base + staged) distribution and
+consume the RNG exactly as the same draws on the mutated graph would, which
+is what keeps online predictions byte-identical to the sequential reference.
 """
 
 from __future__ import annotations
@@ -21,24 +26,8 @@ import numpy as np
 
 from ...obs import runtime as obs
 
-__all__ = ["AliasTable", "EdgeSampler", "NegativeSampler",
-           "DeltaNegativeSampler", "SamplerCache", "SAMPLER_MODES",
-           "unigram_power_distribution", "validate_sampler_mode"]
-
-#: Legal values of ``EmbeddingConfig.sampler_mode``: ``"exact"`` keeps the
-#: byte-identical per-predict rebuild of the overlay negative sampler,
-#: ``"delta"`` opts into the composed :class:`DeltaNegativeSampler` (same
-#: per-index probabilities, different RNG consumption).
-SAMPLER_MODES = ("exact", "delta")
-
-
-def validate_sampler_mode(mode: str) -> str:
-    """Validate a negative-sampling mode name; returns it unchanged."""
-    if mode not in SAMPLER_MODES:
-        raise ValueError(
-            f"unknown sampler_mode {mode!r}; expected one of "
-            + ", ".join(repr(known) for known in SAMPLER_MODES))
-    return mode
+__all__ = ["AliasTable", "EdgeSampler", "NegativeSampler", "SamplerCache",
+           "unigram_power_distribution"]
 
 
 class AliasTable:
@@ -218,187 +207,13 @@ class NegativeSampler:
         self._identity = live.size == degrees.size
         self._table = AliasTable(weights[live])
 
-    @property
-    def live_count(self) -> int:
-        """Number of positive-weight indices the table draws from."""
-        return self._live.size
-
-    def sample_flat(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` draws as a flat, caller-owned index array.
-
-        Composition helper for :class:`DeltaNegativeSampler`; the returned
-        array is freshly allocated, so callers may mutate it.
-        """
-        flat = self._table.sample(count, rng)
-        if not self._identity:
-            flat = self._live[flat]
-        return flat
-
     def sample(self, count: int, negatives_per_example: int,
                rng: np.random.Generator) -> np.ndarray:
         """Return an ``(count, negatives_per_example)`` array of node indices."""
-        flat = self.sample_flat(count * negatives_per_example, rng)
+        flat = self._table.sample(count * negatives_per_example, rng)
+        if not self._identity:
+            flat = self._live[flat]
         return flat.reshape(count, negatives_per_example)
-
-
-class DeltaNegativeSampler:
-    """Negative sampler for an overlay, composed from base + staged delta.
-
-    A ``NegativeSampler(overlay.degree_array())`` rebuild pays an O(V)
-    unigram-weight recompute plus an O(V) Walker pairing on *every* cold
-    prediction, even though the overlay only changes a handful of degrees
-    (the staged nodes and the boundary MACs they attach to).  This sampler
-    reuses the base graph's version-cached alias table and unigram weight
-    vector and builds a tiny alias table over only the overlay-affected
-    indices, then samples the exact composed distribution
-    ``Pr(z) ∝ d_z^power`` via a weighted two-level mixture:
-
-    * with probability ``W_base' / W`` draw from the base table, reject-
-      redrawing any patched index (their base weight mass is exactly the
-      mass subtracted from ``W_base'``, so acceptance re-normalises to the
-      unpatched base distribution);
-    * otherwise draw from the delta table over the composed weights of the
-      patched and staged indices.
-
-    The composed per-index probabilities equal a full rebuild's
-    :attr:`AliasTable.probabilities` bit for bit (hypothesis-enforced via
-    :attr:`probabilities`), but the RNG *consumption* differs from the
-    rebuild — hence the explicit ``sampler_mode="delta"`` opt-in.
-    """
-
-    def __init__(self, overlay, base_sampler: NegativeSampler,
-                 base_weights: np.ndarray, base_total: float,
-                 power: float = 0.75,
-                 patch: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        if patch is None:
-            patch = overlay.delta_degree_patch()
-        indices, degrees = patch
-        base_capacity = overlay.base_capacity
-        self._capacity = int(overlay.index_capacity)
-        self._base_sampler = base_sampler
-        self._base_weights = base_weights
-        self._patch_indices = indices
-        self._patch_weights = unigram_power_distribution(degrees, power=power)
-
-        boundary = indices[indices < base_capacity]
-        self._patched = np.zeros(base_capacity, dtype=bool)
-        self._patched[boundary] = True
-        # The rejection filter gathers this mask per draw; precomputing the
-        # complement keeps an O(draws) invert off the sampling hot path.
-        self._unpatched = ~self._patched
-        patched_base = base_weights[boundary]
-        base_mass = float(base_total) - float(patched_base.sum())
-        if np.count_nonzero(patched_base > 0) >= base_sampler.live_count:
-            # Every live base index is patched: the base branch must be
-            # unreachable (the rejection loop could never terminate), and
-            # float cancellation must not leave a residue as its mass.
-            base_mass = 0.0
-        self._base_mass = max(base_mass, 0.0)
-        # Weighted acceptance rate of the rejection loop: the fraction of
-        # base-table mass that is *not* patched.  Sizes the oversampled
-        # one-shot draw in :meth:`_sample_base`.
-        self._base_accept = (self._base_mass / float(base_total)
-                             if float(base_total) > 0.0 else 0.0)
-
-        live = np.flatnonzero(self._patch_weights > 0)
-        self._delta_indices = indices[live]
-        if live.size:
-            delta_weights = self._patch_weights[live]
-            self._delta_mass = float(delta_weights.sum())
-            self._delta_table: AliasTable | None = AliasTable(delta_weights)
-        else:
-            self._delta_mass = 0.0
-            self._delta_table = None
-
-        total = self._base_mass + self._delta_mass
-        if total <= 0.0:
-            raise ValueError("cannot compose a DeltaNegativeSampler: all "
-                             "composed degrees are zero")
-        self._base_fraction = self._base_mass / total
-        self._probability_cache: np.ndarray | None = None
-
-    @property
-    def delta_size(self) -> int:
-        """Number of positive-weight overlay-affected indices."""
-        return self._delta_indices.size
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Composed per-index probabilities over the overlay index space.
-
-        Bit-identical to expanding ``NegativeSampler(overlay.degree_array())``
-        back to index space: unpatched entries reuse the cached base weight
-        vector (the elementwise ``d^power`` of the very same degrees), the
-        patched/staged entries were recomputed from the overlay's composed
-        degrees at construction, and the normalising sum runs over the same
-        live-compacted array a full rebuild would sum.  O(V) — diagnostics
-        and the distribution-equality property tests only; the sampling
-        path never materialises this.
-        """
-        if self._probability_cache is None:
-            weights = np.zeros(self._capacity, dtype=np.float64)
-            weights[:self._base_weights.size] = self._base_weights
-            weights[self._patch_indices] = self._patch_weights
-            live = np.flatnonzero(weights > 0)
-            compact = weights[live]
-            expanded = np.zeros(self._capacity, dtype=np.float64)
-            expanded[live] = compact / compact.sum()
-            self._probability_cache = expanded
-        return self._probability_cache.copy()
-
-    def sample(self, count: int, negatives_per_example: int,
-               rng: np.random.Generator) -> np.ndarray:
-        """Return a ``(count, negatives_per_example)`` array of node indices."""
-        total = count * negatives_per_example
-        if self._delta_table is None:
-            flat = self._base_sampler.sample_flat(total, rng)
-        elif self._base_mass == 0.0:
-            flat = self._delta_indices[self._delta_table.sample(total, rng)]
-        else:
-            coins = rng.random(total)
-            from_base = coins < self._base_fraction
-            n_base = int(np.count_nonzero(from_base))
-            flat = np.empty(total, dtype=np.int64)
-            if n_base:
-                flat[from_base] = self._sample_base(n_base, rng)
-            if n_base != total:
-                picks = self._delta_table.sample(total - n_base, rng)
-                np.logical_not(from_base, out=from_base)
-                flat[from_base] = self._delta_indices[picks]
-        return flat.reshape(count, negatives_per_example)
-
-    def _sample_base(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Base-table draws conditioned (by rejection) on unpatched indices.
-
-        Oversamples by the known acceptance rate so one draw-filter round
-        almost always fills the request (accepted draws are i.i.d. from the
-        conditional distribution, so keeping a prefix and discarding the
-        surplus is exact); any shortfall loops with the same oversampling.
-        """
-        accept = max(self._base_accept, 0.05)
-        request = int(count / accept * 1.08) + 16
-        draws = self._base_sampler.sample_flat(request, rng)
-        kept = draws[self._unpatched[draws]]
-        if kept.size >= count:
-            return kept[:count]
-        out = np.empty(count, dtype=np.int64)
-        out[:kept.size] = kept
-        filled = kept.size
-        while filled < count:
-            need = count - filled
-            request = int(need / accept * 1.08) + 16
-            draws = self._base_sampler.sample_flat(request, rng)
-            kept = draws[self._unpatched[draws]]
-            take = min(kept.size, need)
-            out[filled:filled + take] = kept[:take]
-            filled += take
-        return out
-
-
-def _unigram_entry(graph) -> tuple[np.ndarray, float]:
-    """The ``(weights, total)`` pair :meth:`SamplerCache.unigram_weights` caches."""
-    weights = unigram_power_distribution(graph.degree_array())
-    return weights, float(weights.sum())
 
 
 class SamplerCache:
@@ -416,11 +231,7 @@ class SamplerCache:
     mutating the graph, so the graph's version — and therefore any entry
     cached here — survives arbitrarily many ``persist=False`` predictions;
     the overlay's own per-predict samplers are deliberately not cached
-    (ephemeral views, one per prediction).  In ``sampler_mode="delta"`` the
-    overlay path instead *composes* its negative sampler from the base
-    graph's cached table and unigram weight vector
-    (:meth:`delta_negative_sampler`), shrinking the per-predict build to
-    the staged delta.
+    (ephemeral views, one per prediction).
 
     Lookups take a short global lock; sampler construction itself happens
     outside it, so concurrent builds for different graphs (sharded serving)
@@ -460,16 +271,12 @@ class SamplerCache:
         return entry, entry.get(kind)
 
     def _get(self, graph, kind: str, build) -> object:
-        return self._get_with_state(graph, kind, build)[0]
-
-    def _get_with_state(self, graph, kind: str, build) -> tuple[object, bool]:
-        """Like :meth:`_get`, but also report whether it was a cache hit."""
         with self._lock:
-            entry, sampler = self._lookup(graph, kind)
+            _, sampler = self._lookup(graph, kind)
             if sampler is not None:
                 self.hits += 1
                 obs.metric_increment("sampler_cache_hits_total")
-                return sampler, True
+                return sampler
             self.misses += 1
             obs.metric_increment("sampler_cache_misses_total")
         sampler = build()
@@ -478,7 +285,7 @@ class SamplerCache:
             current = self._entries.get(graph)
             if current is not None and current["version"] == graph.version:
                 current[kind] = sampler
-        return sampler, False
+        return sampler
 
     def edge_sampler(self, graph) -> EdgeSampler:
         """The full-graph edge sampler for the graph's current version."""
@@ -489,104 +296,6 @@ class SamplerCache:
         """The full-graph negative sampler for the graph's current version."""
         return self._get(graph, "negative",
                          lambda: NegativeSampler(graph.degree_array()))
-
-    def unigram_weights(self, graph) -> tuple[np.ndarray, float]:
-        """Cached ``(weights, total)`` of the graph's noise distribution.
-
-        ``weights`` is the full-length ``d^0.75`` vector over the graph's
-        dense index space and ``total`` its sum; both are cached per graph
-        version like the samplers (treat the array as read-only).  The
-        delta-composed sampler reuses the unpatched entries verbatim, which
-        is what makes its composed probabilities bit-identical to a full
-        rebuild's.
-        """
-        return self._get(graph, "unigram", lambda: _unigram_entry(graph))
-
-    #: Bound on memoised delta compositions kept per base-graph version.
-    #: Sized to cover a serving fleet cycling through a working set of
-    #: repeated probes; overflow clears the memo (the parts it composes
-    #: over stay cached, so a refill costs only the tiny delta builds).
-    DELTA_MEMO_CAPACITY = 128
-
-    def restricted_edge_sampler(self, base, sources: np.ndarray,
-                                targets: np.ndarray,
-                                weights: np.ndarray) -> EdgeSampler:
-        """Memoised :class:`EdgeSampler` over restricted incident edges.
-
-        Keyed by the edge-array *content* (and the base graph's version via
-        the entry), so a re-predicted record — whose staged overlay yields
-        byte-identical restricted arrays — skips the alias build.  The
-        sampler is built over private copies: callers routinely pass
-        scratch-buffer views that the next prediction overwrites in place.
-        Delta-mode only; the exact mode never reaches this path.
-        """
-        key = (sources.tobytes(), targets.tobytes(), weights.tobytes())
-        with self._lock:
-            entry = self._entries.get(base)
-            if entry is not None and entry["version"] == base.version:
-                memoised = entry.get("restricted_edge", {}).get(key)
-                if memoised is not None:
-                    self.hits += 1
-                    obs.metric_increment("sampler_cache_hits_total")
-                    return memoised
-        sampler = EdgeSampler(sources.copy(), targets.copy(), weights.copy())
-        with self._lock:
-            current = self._entries.get(base)
-            if current is not None and current["version"] == base.version:
-                memo = current.setdefault("restricted_edge", {})
-                if len(memo) >= self.DELTA_MEMO_CAPACITY:
-                    memo.clear()
-                memo[key] = sampler
-        return sampler
-
-    def delta_negative_sampler(self, overlay) -> DeltaNegativeSampler:
-        """Compose the overlay's staged delta with its base's cached parts.
-
-        The base negative sampler and unigram weight vector come from this
-        cache (built on first use per base-graph version); only the tiny
-        delta table over the overlay-affected indices is constructed per
-        call.  Identical staged deltas (the same record re-predicted, a
-        fleet replaying a probe working set) skip even that: finished
-        compositions are memoised per base-graph version, keyed by the
-        patch content, and a :class:`DeltaNegativeSampler` is immutable
-        after construction, so sharing one across predictions (and
-        threads) is exact — every draw depends only on the caller's RNG.
-        ``delta_sampler_hits_total`` counts compositions fully served from
-        cache (memoised or composed from cached base parts),
-        ``delta_sampler_rebuilds_total`` those that had to (re)build a
-        base part first.
-        """
-        base = overlay.base
-        indices, degrees = overlay.delta_degree_patch()
-        key = (int(overlay.index_capacity),
-               indices.tobytes(), degrees.tobytes())
-        with self._lock:
-            entry = self._entries.get(base)
-            if entry is not None and entry["version"] == base.version:
-                memoised = entry.get("delta", {}).get(key)
-                if memoised is not None:
-                    self.hits += 1
-                    obs.metric_increment("sampler_cache_hits_total")
-                    obs.metric_increment("delta_sampler_hits_total")
-                    return memoised
-        sampler, sampler_hit = self._get_with_state(
-            base, "negative", lambda: NegativeSampler(base.degree_array()))
-        (weights, total), unigram_hit = self._get_with_state(
-            base, "unigram", lambda: _unigram_entry(base))
-        if sampler_hit and unigram_hit:
-            obs.metric_increment("delta_sampler_hits_total")
-        else:
-            obs.metric_increment("delta_sampler_rebuilds_total")
-        composed = DeltaNegativeSampler(overlay, sampler, weights, total,
-                                        patch=(indices, degrees))
-        with self._lock:
-            current = self._entries.get(base)
-            if current is not None and current["version"] == base.version:
-                memo = current.setdefault("delta", {})
-                if len(memo) >= self.DELTA_MEMO_CAPACITY:
-                    memo.clear()
-                memo[key] = composed
-        return composed
 
     def clear(self) -> None:
         with self._lock:

@@ -19,11 +19,9 @@ The engine also supports *frozen* training used during online inference
 so a newly added record can be embedded in real time without perturbing the
 previously learned embeddings.
 
-The per-batch update itself is delegated to a pluggable kernel
-(:mod:`repro.core.embedding.kernels`) selected by ``EmbeddingConfig.kernel``:
-``reference`` (default, bit-for-bit the historical implementation) or
-``fused`` (2x+ throughput, tolerance-equivalent).  Sampling, the
-learning-rate schedule and the RNG stream live here, shared by all kernels.
+The per-batch update itself is
+:class:`~repro.core.embedding.kernels.ReferenceKernel`; sampling, the
+learning-rate schedule and the RNG stream live here.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 from ...obs import runtime as obs
 from ..graph import BipartiteGraph
 from .base import EmbeddingConfig
-from .kernels import make_kernel, sigmoid
+from .kernels import ReferenceKernel, sigmoid
 from .sampler import EdgeSampler, NegativeSampler, SamplerCache
 
 __all__ = ["ObjectiveTerms", "EdgeSamplingTrainer", "sigmoid",
@@ -72,7 +70,6 @@ class EdgeSamplingTrainer:
     def __init__(self, graph: BipartiteGraph, config: EmbeddingConfig,
                  terms: ObjectiveTerms,
                  restrict_to_nodes: np.ndarray | None = None,
-                 use_sampler_cache: bool = True,
                  edge_scratch=None) -> None:
         """Create a trainer over all edges or, optionally, a node-incident subset.
 
@@ -84,11 +81,6 @@ class EdgeSamplingTrainer:
             (used for the frozen-graph online embedding of new nodes, whose
             objective only contains terms for their own incident edges).
             Negative samples are still drawn from the full graph.
-        use_sampler_cache:
-            Reuse alias samplers previously built for the same graph at the
-            same :attr:`BipartiteGraph.version` (default).  Samplers are
-            immutable once built, so a cache hit is byte-identical to a fresh
-            construction; disable only to benchmark or test the cold path.
         edge_scratch:
             Optional :class:`~repro.core.graph.EdgeArrayScratch` reused for
             the restricted incident-edge arrays across consecutive trainers
@@ -101,19 +93,15 @@ class EdgeSamplingTrainer:
         self.graph = graph
         self.config = config
         self.terms = terms
-        # Overlay views are ephemeral (one per online prediction) and have
-        # no mutation-versioned identity of their own; caching samplers
-        # against them would only churn the cache.  In "delta" mode their
-        # negative sampler is instead *composed* from the base graph's
-        # cached sampler plus the staged delta — same distribution, no
-        # O(V) rebuild.
-        delta_negatives = False
-        if getattr(graph, "is_overlay", False):
-            use_sampler_cache = False
-            delta_negatives = config.sampler_mode == "delta"
+        # Samplers of an unchanged graph are reused from the process-wide
+        # cache (a hit is byte-identical to a fresh build).  Overlay views
+        # are ephemeral (one per online prediction) and have no
+        # mutation-versioned identity of their own; caching samplers against
+        # them would only churn the cache.
+        cached = not getattr(graph, "is_overlay", False)
         with obs.span("embed.alias_build") as alias_span:
             if restrict_to_nodes is None:
-                if use_sampler_cache:
+                if cached:
                     self._edge_sampler = _SAMPLER_CACHE.edge_sampler(graph)
                 else:
                     self._edge_sampler = EdgeSampler(*graph.edge_arrays())
@@ -126,48 +114,21 @@ class EdgeSamplingTrainer:
                 if sources.size == 0:
                     raise ValueError("restrict_to_nodes selects no edges; "
                                      "the nodes are isolated")
-                if delta_negatives:
-                    # Delta mode: a re-predicted record stages an identical
-                    # delta, so the restricted arrays — and the sampler over
-                    # them — recur byte for byte; memoise by content.
-                    self._edge_sampler = _SAMPLER_CACHE.restricted_edge_sampler(
-                        graph.base, sources, targets, weights)
-                else:
-                    self._edge_sampler = EdgeSampler(sources, targets, weights)
+                self._edge_sampler = EdgeSampler(sources, targets, weights)
             self._num_sampled_edges = self._edge_sampler.num_edges
-            if use_sampler_cache:
+            if cached:
                 self._negative_sampler = _SAMPLER_CACHE.negative_sampler(graph)
-            elif delta_negatives:
-                self._negative_sampler = (
-                    _SAMPLER_CACHE.delta_negative_sampler(graph))
             else:
                 self._negative_sampler = NegativeSampler(graph.degree_array())
             alias_span.set("edges", self._num_sampled_edges)
-            alias_span.set("cached", use_sampler_cache)
-            alias_span.set("negatives",
-                           "delta" if delta_negatives else "full")
+            alias_span.set("cached", cached)
         self._rng = np.random.default_rng(config.seed)
-        self._kernel = make_kernel(config.kernel)
-        # In "delta" mode the RNG stream is not contracted (only the sampled
-        # distribution is), so the per-batch draws are served as row slices
-        # of one pooled draw per run — the composed mixture's fixed numpy
-        # costs (coins, rejection filter, scatter) are paid once instead of
-        # once per batch.  "exact" mode keeps strict per-batch draws: its
-        # contract is byte-identical RNG consumption.
-        self._pooled_draws = delta_negatives
-        self._positive_pool: tuple[np.ndarray, np.ndarray] | None = None
-        self._negative_pool: np.ndarray | None = None
-        self._pool_used = 0
+        self._kernel = ReferenceKernel()
 
     @property
     def num_sampled_edges(self) -> int:
         """Number of edges the positive-example sampler draws from."""
         return self._num_sampled_edges
-
-    @property
-    def kernel_name(self) -> str:
-        """Name of the training kernel this trainer dispatches to."""
-        return self._kernel.name
 
     # ------------------------------------------------------------------ setup
     def initial_embeddings(self, warm_start=None) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +249,7 @@ class EdgeSamplingTrainer:
             remaining -= batch
         tracer.add_span("embed.sampling", sampling_seconds,
                         {"samples": total})
-        tracer.add_span("embed.kernel", kernel_seconds,
-                        {"samples": total, "kernel": self._kernel.name})
+        tracer.add_span("embed.kernel", kernel_seconds, {"samples": total})
         elapsed = sampling_seconds + kernel_seconds
         if elapsed > 0.0:
             obs.set_gauge("train_edge_samples_per_s", total / elapsed)
@@ -301,34 +261,13 @@ class EdgeSamplingTrainer:
         return self._kernel_step(ego, context, heads, tails, negatives, lr,
                                  trainable, batch)
 
-    #: Upper bound on pooled-draw rows per refill (memory guard; delta-mode
-    #: online runs are ~1e3 examples, far below it).
-    _POOL_ROW_CAP = 1 << 16
-
     def _sample_batch(self, batch: int) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
-        """Draw one batch of positive edges and their negative samples.
-
-        With pooled draws enabled (delta sampler mode) the batch is a row
-        slice of one bulk draw covering the whole run; the slices partition
-        the pool, so examples are i.i.d. exactly as if drawn per batch.
-        """
-        if not self._pooled_draws:
-            heads, tails = self._edge_sampler.sample(batch, self._rng)
-            negatives = self._negative_sampler.sample(
-                batch, self.config.negative_samples, self._rng)
-            return heads, tails, negatives
-        pool = self._negative_pool
-        if pool is None or self._pool_used + batch > pool.shape[0]:
-            rows = min(max(batch, self.total_samples()), self._POOL_ROW_CAP)
-            self._positive_pool = self._edge_sampler.sample(rows, self._rng)
-            self._negative_pool = pool = self._negative_sampler.sample(
-                rows, self.config.negative_samples, self._rng)
-            self._pool_used = 0
-        start = self._pool_used
-        self._pool_used = end = start + batch
-        heads, tails = self._positive_pool
-        return heads[start:end], tails[start:end], pool[start:end]
+        """Draw one batch of positive edges and their negative samples."""
+        heads, tails = self._edge_sampler.sample(batch, self._rng)
+        negatives = self._negative_sampler.sample(
+            batch, self.config.negative_samples, self._rng)
+        return heads, tails, negatives
 
     def _kernel_step(self, ego: np.ndarray, context: np.ndarray,
                      heads: np.ndarray, tails: np.ndarray,

@@ -449,16 +449,6 @@ class BipartiteGraph:
         self._flush_degrees()
         return self._degrees[:self.index_capacity].copy()
 
-    def degrees_at(self, indices: np.ndarray) -> np.ndarray:
-        """Weighted degrees at the given dense indices (a fresh small array).
-
-        The same values :meth:`degree_array` reports at those positions,
-        without the O(V) copy — the delta-composed negative sampler reads a
-        handful of boundary-MAC degrees per prediction.
-        """
-        self._flush_degrees()
-        return self._degrees[np.asarray(indices, dtype=np.int64)]
-
     def record_index_map(self) -> dict[str, int]:
         """Mapping record id -> dense node index for all live record nodes.
 

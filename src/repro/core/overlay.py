@@ -216,32 +216,6 @@ class GraphOverlay:
             degrees[index] = value
         return degrees
 
-    def delta_degree_patch(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, degrees)`` for the nodes whose degree the delta moved.
-
-        The indices are every node holding delta edges — staged nodes plus
-        boundary base MACs that gained edges — in ascending order; the
-        degrees are the composed (base + delta) values, computed with the
-        same left fold :meth:`degree_array` uses so each entry matches the
-        full composed array bit for bit.  O(delta), never materialises the
-        base degree array; this is what :class:`DeltaNegativeSampler`
-        patches the cached base noise distribution with.
-        """
-        self._check_live()
-        touched = sorted(index for index, neighbors
-                         in self._delta_adjacency.items() if neighbors)
-        indices = np.asarray(touched, dtype=np.int64)
-        degrees = np.zeros(len(touched), dtype=np.float64)
-        boundary = indices < self._base_capacity
-        if boundary.any():
-            degrees[boundary] = self.base.degrees_at(indices[boundary])
-        for position, index in enumerate(touched):
-            value = degrees[position]
-            for weight in self._delta_adjacency[index].values():
-                value += weight
-            degrees[position] = value
-        return indices, degrees
-
     def incident_edge_arrays(
             self, node_indices: np.ndarray,
             scratch: EdgeArrayScratch | None = None,

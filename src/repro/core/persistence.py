@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,9 @@ _FORMAT_VERSION = 1
 _REGISTRY_FORMAT_VERSION = 1
 _REGISTRY_MANIFEST = "manifest.json"
 _STREAM_STATE_VERSION = 1
+#: The embedding-config fields a payload reader passes on; payloads may
+#: carry retired ones (see :func:`grafics_config_from_payload`).
+_EMBEDDING_FIELDS = frozenset(spec.name for spec in fields(EmbeddingConfig))
 
 
 class CheckpointCorruptError(ValueError):
@@ -150,13 +153,24 @@ def grafics_config_to_payload(config: GraficsConfig) -> dict:
 
 
 def grafics_config_from_payload(payload: dict) -> GraficsConfig:
-    """Rebuild a GRAFICS configuration written by the payload writer."""
+    """Rebuild a GRAFICS configuration written by the payload writer.
+
+    Payloads from before the training kernel and the cold-path negative
+    sampler had one implementation each also name those two choices in
+    their embedding config; keys that are no embedding-config field are
+    dropped.  A model saved with the ``"fused"`` kernel or the ``"delta"``
+    sampler therefore keeps its stored embeddings and clusters and serves
+    its online predictions on the one path, exactly like the same payload
+    without those keys.
+    """
+    embedding = {key: value for key, value in payload["embedding"].items()
+                 if key in _EMBEDDING_FIELDS}
     return GraficsConfig(
         embedding_dimension=payload["embedding_dimension"],
         embedder=payload["embedder"],
         allow_unreachable_clusters=payload["allow_unreachable_clusters"],
         weight_function=_weight_function_from_dict(payload["weight_function"]),
-        embedding=EmbeddingConfig(**payload["embedding"]),
+        embedding=EmbeddingConfig(**embedding),
     )
 
 

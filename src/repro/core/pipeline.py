@@ -31,7 +31,6 @@ from .clustering.hierarchical import ClusteringResult, ProximityClustering
 from .clustering.model import ClusterModel
 from .embedding.base import EmbeddingConfig, GraphEmbedding
 from .embedding.eline import ELINEEmbedder
-from .embedding.sampler import validate_sampler_mode
 from .embedding.line import LINEEmbedder
 from .graph import BipartiteGraph, build_graph
 from .inference import FloorPrediction, OnlineInferenceEngine
@@ -57,17 +56,6 @@ class GraficsConfig:
     embedding:
         Full embedding hyperparameters.  ``embedding_dimension`` overrides the
         dimension stored here so the common case needs a single knob.
-    kernel:
-        Optional training-kernel override (``"reference"``/``"fused"``, see
-        :mod:`repro.core.embedding.kernels`); when set it overrides
-        ``embedding.kernel`` the same way ``embedding_dimension`` overrides
-        the dimension.  ``None`` keeps whatever the embedding config says.
-    sampler_mode:
-        Optional negative-sampler-mode override for the online cold path
-        (``"exact"``/``"delta"``, see
-        :class:`~repro.core.embedding.base.EmbeddingConfig`); same override
-        semantics as ``kernel``.  ``None`` keeps whatever the embedding
-        config says.
     allow_unreachable_clusters:
         Forwarded to :class:`ProximityClustering`.
     """
@@ -76,8 +64,6 @@ class GraficsConfig:
     embedder: str = "eline"
     weight_function: WeightFunction = field(default_factory=OffsetWeight)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    kernel: str | None = None
-    sampler_mode: str | None = None
     allow_unreachable_clusters: bool = False
 
     def resolved_embedding_config(self) -> EmbeddingConfig:
@@ -85,11 +71,6 @@ class GraficsConfig:
         config = self.embedding
         if config.dimension != self.embedding_dimension:
             config = replace(config, dimension=self.embedding_dimension)
-        if self.kernel is not None and config.kernel != self.kernel:
-            config = replace(config, kernel=self.kernel)
-        if (self.sampler_mode is not None
-                and config.sampler_mode != self.sampler_mode):
-            config = replace(config, sampler_mode=self.sampler_mode)
         return config
 
     def make_embedder(self):
@@ -122,9 +103,7 @@ class GRAFICS:
     # ---------------------------------------------------------------- training
     def fit(self, records: FingerprintDataset | Sequence[SignalRecord],
             labels: Mapping[str, int] | None = None,
-            warm_start: GraphEmbedding | None = None,
-            kernel: str | None = None,
-            sampler_mode: str | None = None) -> "GRAFICS":
+            warm_start: GraphEmbedding | None = None) -> "GRAFICS":
         """Run the offline training phase.
 
         Parameters
@@ -146,15 +125,6 @@ class GRAFICS:
             of the sliding window survives from one model generation to the
             next.  Clustering and inference are unaffected beyond the
             embedding initialisation.
-        kernel:
-            Optional per-fit training-kernel override (``"reference"`` /
-            ``"fused"``).  The trained embedding records the kernel it was
-            fitted with, so online inference on this model keeps using it.
-        sampler_mode:
-            Optional per-fit negative-sampler-mode override (``"exact"`` /
-            ``"delta"``).  The fit itself is unaffected (offline training
-            never sees an overlay); the mode is recorded on the model's
-            config and drives this model's online cold path.
         """
         record_list = list(records.records if isinstance(records, FingerprintDataset)
                            else records)
@@ -172,14 +142,6 @@ class GRAFICS:
                 f"labels reference records that are not in the training set: "
                 f"{sorted(missing)[:5]}")
 
-        if kernel is not None and self.config.kernel != kernel:
-            # Record the effective kernel on the model's config so the
-            # override survives persistence round-trips and drives the
-            # online-inference engine of this model.
-            self.config = replace(self.config, kernel=kernel)
-        if sampler_mode is not None and self.config.sampler_mode != sampler_mode:
-            validate_sampler_mode(sampler_mode)
-            self.config = replace(self.config, sampler_mode=sampler_mode)
         with obs.span("fit") as fit_span:
             fit_span.set("records", len(record_list))
             fit_span.set("labels", len(labels))
@@ -234,31 +196,13 @@ class GRAFICS:
         self._require_fitted()
         if self._engine is None:
             # The fitted embedding's config (not the pipeline config) drives
-            # incremental embedding, so a per-fit kernel override carries
-            # through to online inference on that model.
+            # incremental embedding, so online inference embeds new records
+            # with the hyperparameters the model was trained with.
             incremental_embedder = ELINEEmbedder(self.embedding.config)
             self._engine = OnlineInferenceEngine(
                 self.graph, self.embedding, self.cluster_model,
-                embedder=incremental_embedder,
-                sampler_mode=self.config.sampler_mode)
+                embedder=incremental_embedder)
         return self._engine
-
-    def with_sampler_mode(self, sampler_mode: str) -> "GRAFICS":
-        """A view of this fitted model with a different cold-path sampler mode.
-
-        The clone shares the graph, embedding and cluster model (no refit —
-        offline training is unaffected by the sampler mode); only its
-        online-inference engine differs.  Useful for A/B-comparing
-        ``"exact"`` and ``"delta"`` serving on one trained model.
-        """
-        self._require_fitted()
-        validate_sampler_mode(sampler_mode)
-        clone = GRAFICS(replace(self.config, sampler_mode=sampler_mode))
-        clone.graph = self.graph
-        clone.embedding = self.embedding
-        clone.clustering = self.clustering
-        clone.cluster_model = self.cluster_model
-        return clone
 
     def predict(self, record: SignalRecord, persist: bool = False) -> FloorPrediction:
         """Predict the floor of one new RF sample (online inference)."""

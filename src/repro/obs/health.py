@@ -33,7 +33,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import runtime
 from .timeseries import HistogramWindow, MetricsSampler
 
 __all__ = ["HealthStatus", "HealthReason", "HealthPolicy", "Scorecard",
@@ -41,10 +40,6 @@ __all__ = ["HealthStatus", "HealthReason", "HealthPolicy", "Scorecard",
 
 #: Subject key of the service-wide telemetry in the monitor's internals.
 _SERVICE = "service"
-
-#: Subject key of the process-global runtime registry (core-layer counters
-#: such as ``delta_sampler_*``; present only while observability is enabled).
-_RUNTIME = "runtime"
 
 #: Verdict ordering for aggregation (higher = worse).
 _SEVERITY_RANK = {"healthy": 0, "degraded": 1, "unhealthy": 2}
@@ -232,28 +227,9 @@ class HealthMonitor:
     def observe(self, now: float | None = None) -> float:
         """Take one windowed sample of every telemetry source."""
         now = self._clock() if now is None else now
-        self._refresh_runtime_subject()
         for subject in self._subjects.values():
             subject.observe(now)
         return now
-
-    def _refresh_runtime_subject(self) -> None:
-        """Track the process-global runtime registry as a windowed subject.
-
-        The registry only exists while observability is enabled, and
-        enabling/disabling swaps the object — so it is resolved on every
-        observation rather than pinned at construction.  Its windowed
-        series feed informational reasons only (e.g. delta-sampler cache
-        effectiveness); a missing registry simply drops them.
-        """
-        registry = runtime.get_metrics()
-        if registry is None:
-            self._subjects.pop(_RUNTIME, None)
-            return
-        subject = self._subjects.get(_RUNTIME)
-        if subject is None or subject.registry is not registry:
-            self._subjects[_RUNTIME] = _Subject(registry, self._clock,
-                                                self.policy)
 
     def _subject_for_building(self, building_id: str) -> _Subject:
         return self._subjects[
@@ -397,39 +373,6 @@ class HealthMonitor:
                 value=age, threshold=policy.retrain_overdue_seconds))
         return reasons, metrics
 
-    def _delta_sampler_reasons(self, now: float) -> tuple[list[HealthReason],
-                                                          dict[str, float]]:
-        """Cold-path delta-sampler cache effectiveness (info-severity only).
-
-        Reads the process-global runtime counters: compositions fully served
-        from the cached base sampler/weights count as hits, compositions
-        that had to (re)build a base part as rebuilds.  A low hit rate means
-        the base graph is churning under the cold path (delta mode is
-        paying exact-mode prices); that is worth surfacing, but it is a
-        performance observation, not a correctness problem — the reason is
-        ``"info"`` severity and never moves a verdict.
-        """
-        reasons: list[HealthReason] = []
-        metrics: dict[str, float] = {}
-        subject = self._subjects.get(_RUNTIME)
-        if subject is None:
-            return reasons, metrics
-        hits = subject.window_delta("delta_sampler_hits_total", now)
-        rebuilds = subject.window_delta("delta_sampler_rebuilds_total", now)
-        composed = hits + rebuilds
-        if composed <= 0:
-            return reasons, metrics
-        hit_rate = hits / composed
-        metrics["delta_sampler_hit_rate"] = hit_rate
-        metrics["delta_sampler_composed"] = composed
-        reasons.append(HealthReason(
-            code="delta_sampler_cache", severity="info",
-            detail=f"delta negative sampler served {hit_rate:.1%} of "
-                   f"{composed:.0f} recent compositions from cached base "
-                   f"tables",
-            value=hit_rate))
-        return reasons, metrics
-
     def _compute_pool_reasons(self, now: float) -> tuple[list[HealthReason],
                                                          dict[str, float]]:
         """Compute-pool dispatch and snapshot-shipping health (info only).
@@ -479,8 +422,7 @@ class HealthMonitor:
         for part_reasons, part_metrics in (
                 self._building_stream_reasons(building_id, now),
                 self._latency_reasons(subject, now),
-                self._cache_reasons(subject, now),
-                self._delta_sampler_reasons(now)):
+                self._cache_reasons(subject, now)):
             reasons.extend(part_reasons)
             metrics.update(part_metrics)
         return Scorecard(

@@ -165,10 +165,9 @@ class ObsServer:
     def render_metrics(self) -> str:
         """The Prometheus payload ``/metrics`` serves (shards merged in).
 
-        The process-global runtime registry (sampler-cache and
-        ``delta_sampler_*`` counters, overlay totals — everything the core
-        layers record through :func:`repro.obs.runtime.metric_increment`)
-        is merged in when observability is enabled, so one scrape covers
+        The process-global runtime registry (sampler-cache counters,
+        overlay totals — everything the core layers record through
+        :func:`repro.obs.runtime.metric_increment`) is merged in when observability is enabled, so one scrape covers
         both the serving telemetry and the core counters.
         """
         others = list(self._shard_registries())

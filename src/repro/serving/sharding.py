@@ -688,9 +688,7 @@ class ShardedServingService:
     def retrain_building(self, dataset: FingerprintDataset,
                          labels: Mapping[str, int],
                          model_path: str | Path | None = None,
-                         warm_start: bool = False,
-                         kernel: str | None = None,
-                         sampler_mode: str | None = None) -> GRAFICS:
+                         warm_start: bool = False) -> GRAFICS:
         """Retrain one building off to the side, then hot-swap it in.
 
         Training happens on a fresh :class:`GRAFICS` instance and holds no
@@ -703,12 +701,7 @@ class ShardedServingService:
         embedding from the building's currently installed model (nodes
         surviving the retrain resume from their learned vectors) — the
         continuous-learning path, where retrains happen on a sliding window
-        that mostly overlaps the previous one.  ``kernel`` optionally selects
-        the training kernel for this retrain (``"fused"`` halves fit time;
-        the model records the kernel, so its online path keeps using it);
-        ``sampler_mode`` likewise selects the cold-path negative-sampler
-        mode (``"delta"`` skips the per-predict O(V) alias rebuild) for the
-        installed model's serving traffic.
+        that mostly overlaps the previous one.
         """
         previous_embedding = None
         if warm_start:
@@ -719,8 +712,7 @@ class ShardedServingService:
                 previous_embedding = None
         with self.telemetry.time("retrain_seconds"):
             model = GRAFICS(self.grafics_config)
-            model.fit(dataset, labels, warm_start=previous_embedding,
-                      kernel=kernel, sampler_mode=sampler_mode)
+            model.fit(dataset, labels, warm_start=previous_embedding)
             if model_path is not None:
                 model_path = Path(model_path)
                 _atomic_save_model(model, model_path)

@@ -36,8 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.embedding.kernels import validate_kernel
-from ..core.embedding.sampler import validate_sampler_mode
 from ..core.persistence import _atomic_save_model, _registry_model_filename, load_model
 from ..core.pipeline import GRAFICS
 from ..faults import failpoints
@@ -104,17 +102,6 @@ class RetrainExecutor:
     train:
         Injectable training function ``(job, warm_start_embedding) ->
         GRAFICS`` — tests use it to control job timing and interleaving.
-    kernel:
-        Optional training-kernel override for executor-run fits
-        (``"reference"``/``"fused"``, see
-        :mod:`repro.core.embedding.kernels`).  ``None`` keeps the service's
-        configured kernel.  Ignored when a custom ``train`` is injected.
-    sampler_mode:
-        Optional cold-path negative-sampler-mode override recorded on
-        executor-trained models (``"exact"``/``"delta"``, see
-        :class:`~repro.core.embedding.base.EmbeddingConfig`).  ``None``
-        keeps the service's configured mode.  Ignored when a custom
-        ``train`` is injected.
     fit_deadline_seconds:
         Wall budget (on the injected clock) for one fit.  A Python thread
         cannot be preempted mid-fit, so the budget is enforced *after* the
@@ -128,21 +115,13 @@ class RetrainExecutor:
                  model_dir: str | Path | None = None,
                  train: Callable[[RetrainJob, object | None], GRAFICS] | None = None,
                  clock: Callable[[], float] = time.perf_counter,
-                 kernel: str | None = None,
-                 sampler_mode: str | None = None,
                  fit_deadline_seconds: float | None = None) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be non-negative")
-        if kernel is not None:
-            validate_kernel(kernel)
-        if sampler_mode is not None:
-            validate_sampler_mode(sampler_mode)
         if fit_deadline_seconds is not None and fit_deadline_seconds <= 0.0:
             raise ValueError("fit_deadline_seconds must be positive (or None)")
         self.service = service
         self.fit_deadline_seconds = fit_deadline_seconds
-        self.kernel = kernel
-        self.sampler_mode = sampler_mode
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self._train = train if train is not None else self._default_train
         self._clock = clock
@@ -259,8 +238,7 @@ class RetrainExecutor:
     def _default_train(self, job: RetrainJob,
                        previous_embedding) -> GRAFICS:
         model = GRAFICS(self.service.grafics_config)
-        model.fit(job.dataset, job.labels, warm_start=previous_embedding,
-                  kernel=self.kernel, sampler_mode=self.sampler_mode)
+        model.fit(job.dataset, job.labels, warm_start=previous_embedding)
         if self.model_dir is not None:
             self.model_dir.mkdir(parents=True, exist_ok=True)
             path = self.model_dir / _registry_model_filename(job.building_id)

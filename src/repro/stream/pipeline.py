@@ -22,8 +22,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..core.embedding.kernels import validate_kernel
-from ..core.embedding.sampler import validate_sampler_mode
 from ..core.inference import UnknownEnvironmentError
 from ..core.persistence import (
     CheckpointCorruptError,
@@ -78,19 +76,6 @@ class StreamConfig:
     #: building's retrain no longer stalls the ingest loop — the swap lands
     #: a few ``process`` calls later via ``StreamResult.completed_retrains``.
     retrain_workers: int = 0
-    #: Training kernel for stream retrains (``"reference"``/``"fused"``; see
-    #: :mod:`repro.core.embedding.kernels`).  ``None`` (the default) keeps
-    #: the service's configured kernel and its byte-identity guarantees;
-    #: ``"fused"`` roughly halves retrain time, shrinking hot-swap latency
-    #: and retrain-worker occupancy at tolerance-level embedding differences.
-    retrain_kernel: str | None = None
-    #: Cold-path negative-sampler mode recorded on stream-retrained models
-    #: (``"exact"``/``"delta"``; see
-    #: :class:`~repro.core.embedding.base.EmbeddingConfig`).  ``None`` (the
-    #: default) keeps the service's configured mode; ``"delta"`` makes every
-    #: hot-swapped model serve its cold predictions off the composed delta
-    #: sampler instead of per-predict O(V) alias rebuilds.
-    retrain_sampler_mode: str | None = None
     #: Wall budget for one stream retrain fit (see
     #: :class:`~repro.stream.executor.RetrainExecutor`
     #: ``fit_deadline_seconds``): an overrunning fit's result is abandoned
@@ -101,13 +86,6 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.retrain_workers < 0:
             raise ValueError("retrain_workers must be non-negative")
-        if self.retrain_kernel is not None:
-            # Fail at construction, not at the first retrain deep inside the
-            # stream loop (where a background worker would just surface error
-            # completions and models would silently stop updating).
-            validate_kernel(self.retrain_kernel)
-        if self.retrain_sampler_mode is not None:
-            validate_sampler_mode(self.retrain_sampler_mode)
         if (self.retrain_deadline_seconds is not None
                 and self.retrain_deadline_seconds <= 0.0):
             raise ValueError(
@@ -158,8 +136,6 @@ class ContinuousLearningPipeline:
         clock_kwargs = {} if clock is None else {"clock": clock}
         self.executor = RetrainExecutor(
             service, max_workers=self.config.retrain_workers,
-            kernel=self.config.retrain_kernel,
-            sampler_mode=self.config.retrain_sampler_mode,
             fit_deadline_seconds=self.config.retrain_deadline_seconds,
             **clock_kwargs)
         self.scheduler = RetrainScheduler(service, self.windows,
@@ -506,7 +482,13 @@ def _service_descriptor(service) -> dict:
 
 
 def _stream_config_from_payload(payload: dict) -> StreamConfig:
-    """Rebuild a :class:`StreamConfig` from its ``dataclasses.asdict`` form."""
+    """Rebuild a :class:`StreamConfig` from its ``dataclasses.asdict`` form.
+
+    Checkpoints from before the training kernel and the cold-path negative
+    sampler had one implementation each also hold the retrain overrides of
+    those two choices; only the fields read here are used, so those keys
+    are ignored.
+    """
     return StreamConfig(
         window=WindowConfig(**payload["window"]),
         drift=DriftConfig(**payload["drift"]),
@@ -514,10 +496,7 @@ def _stream_config_from_payload(payload: dict) -> StreamConfig:
         buffer_capacity=int(payload["buffer_capacity"]),
         predict=bool(payload["predict"]),
         retrain_workers=int(payload["retrain_workers"]),
-        # Absent in checkpoints written before the kernel / delta-sampler /
-        # failure-domain layers existed; ``.get`` keeps old checkpoints
-        # loadable.
-        retrain_kernel=payload.get("retrain_kernel"),
-        retrain_sampler_mode=payload.get("retrain_sampler_mode"),
+        # Absent in checkpoints written before the failure-domain layer
+        # existed; ``.get`` keeps old checkpoints loadable.
         retrain_deadline_seconds=payload.get("retrain_deadline_seconds"),
     )

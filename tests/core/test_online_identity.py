@@ -213,3 +213,14 @@ class TestMutationFreeRegression:
         for probe in probes:
             model.predict(probe)
         assert model.graph.index_capacity == capacity
+
+    def test_engine_scratch_buffers_reused(self, campus_split, probes):
+        """Consecutive cold predicts refill the engine's per-thread
+        incident-edge scratch buffers instead of allocating new ones."""
+        model = fit_campus(campus_split)
+        engine = model.engine
+        for _ in range(3):
+            engine.predict(probes[2])
+        scratch = engine._scratch.edges
+        assert scratch is not None
+        assert scratch.reuses >= 1

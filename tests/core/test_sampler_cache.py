@@ -66,8 +66,8 @@ class TestSamplerCache:
     def test_bypass_builds_fresh(self, graph):
         config = GraficsConfig().resolved_embedding_config()
         cached = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
-        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS,
-                                   use_sampler_cache=False)
+        _SAMPLER_CACHE.clear()
+        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
         assert cold._edge_sampler is not cached._edge_sampler
         # Identical construction either way: same training trajectory.
         ego_a, context_a = cached.initial_embeddings()
@@ -83,8 +83,8 @@ class TestSamplerCache:
         EdgeSamplingTrainer(graph, config, ELINE_TERMS)   # warm the cache
         warm = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
         assert _SAMPLER_CACHE.hits >= 2
-        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS,
-                                   use_sampler_cache=False)
+        _SAMPLER_CACHE.clear()
+        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
         ego_w, context_w = warm.initial_embeddings()
         warm.train(ego_w, context_w)
         ego_c, context_c = cold.initial_embeddings()
@@ -208,8 +208,7 @@ class TestCacheAccounting:
         results = [None, None]
 
         def worker(slot):
-            results[slot] = _SAMPLER_CACHE._get_with_state(
-                graph, "negative", build)
+            results[slot] = _SAMPLER_CACHE._get(graph, "negative", build)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(2)]
@@ -221,9 +220,10 @@ class TestCacheAccounting:
 
         assert len(built) == 2
         assert _SAMPLER_CACHE.misses == 2
-        assert all(not hit for _, hit in results)
+        assert _SAMPLER_CACHE.hits == 0
+        assert all(sampler in built for sampler in results)
         # The winning insert serves subsequent lookups.
-        cached, hit = _SAMPLER_CACHE._get_with_state(
+        cached = _SAMPLER_CACHE._get(
             graph, "negative", lambda: pytest.fail("expected a cache hit"))
-        assert hit
+        assert _SAMPLER_CACHE.hits == 1
         assert cached in built

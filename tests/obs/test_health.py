@@ -266,63 +266,6 @@ class TestShardedAttribution:
         assert report["status"] == "degraded"  # overall is the worst verdict
 
 
-class TestDeltaSamplerEffectiveness:
-    def test_info_reason_surfaces_without_flipping_verdict(self, clock):
-        """Runtime delta-sampler counters become an info-severity reason on
-        building scorecards — visibility into cold-path cache
-        effectiveness, never a verdict change."""
-        from repro.obs import runtime as obs_runtime
-
-        service = FakeService(clock)
-        monitor = HealthMonitor(service, clock=clock)
-        obs_runtime.enable()
-        try:
-            obs_runtime.metric_increment("delta_sampler_hits_total", 9)
-            obs_runtime.metric_increment("delta_sampler_rebuilds_total", 1)
-            clock.advance(5.0)
-            card = monitor.report()["buildings"]["bldg-A"]
-        finally:
-            obs_runtime.disable()
-        (reason,) = card["reasons"]
-        assert reason["code"] == "delta_sampler_cache"
-        assert reason["severity"] == "info"
-        assert card["status"] == "healthy"
-        assert card["metrics"]["delta_sampler_hit_rate"] == pytest.approx(0.9)
-        assert card["metrics"]["delta_sampler_composed"] == 10.0
-
-    def test_silent_when_nothing_composed(self, clock):
-        """Exact-mode deployments (zero compositions) get no reason and no
-        metrics — the scorecard shape is unchanged for them."""
-        from repro.obs import runtime as obs_runtime
-
-        service = FakeService(clock)
-        monitor = HealthMonitor(service, clock=clock)
-        obs_runtime.enable()
-        try:
-            clock.advance(5.0)
-            card = monitor.report()["buildings"]["bldg-A"]
-        finally:
-            obs_runtime.disable()
-        assert card["reasons"] == []
-        assert "delta_sampler_hit_rate" not in card["metrics"]
-
-    def test_disabled_runtime_drops_the_subject(self, clock):
-        from repro.obs import runtime as obs_runtime
-
-        service = FakeService(clock)
-        monitor = HealthMonitor(service, clock=clock)
-        obs_runtime.enable()
-        try:
-            obs_runtime.metric_increment("delta_sampler_hits_total", 3)
-            clock.advance(5.0)
-            monitor.report()
-        finally:
-            obs_runtime.disable()
-        clock.advance(5.0)
-        card = monitor.report()["buildings"]["bldg-A"]
-        assert card["reasons"] == []
-
-
 class TestComputePoolReason:
     @staticmethod
     def _pooled_sharded(clock):

@@ -260,8 +260,8 @@ class TestServerLifecycle:
 
 
 class TestRuntimeCounterExport:
-    def test_metrics_includes_delta_sampler_counters_when_enabled(self):
-        """One scrape covers the core delta-sampler counters: the runtime
+    def test_metrics_includes_runtime_counters_when_enabled(self):
+        """One scrape covers the core sampler-cache counters: the runtime
         registry (where ``SamplerCache`` records through
         ``metric_increment``) is merged into the ``/metrics`` payload
         whenever observability is enabled."""
@@ -269,16 +269,16 @@ class TestRuntimeCounterExport:
         server = ObsServer(service)  # not started: render directly
         obs.enable()
         try:
-            obs.metric_increment("delta_sampler_hits_total", 7)
-            obs.metric_increment("delta_sampler_rebuilds_total", 2)
+            obs.metric_increment("sampler_cache_hits_total", 7)
+            obs.metric_increment("sampler_cache_misses_total", 2)
             body = server.render_metrics()
         finally:
             obs.disable()
         hits = next(l for l in body.splitlines()
-                    if l.startswith("repro_delta_sampler_hits_total "))
-        rebuilds = next(l for l in body.splitlines()
-                        if l.startswith("repro_delta_sampler_rebuilds_total "))
+                    if l.startswith("repro_sampler_cache_hits_total "))
+        misses = next(l for l in body.splitlines()
+                      if l.startswith("repro_sampler_cache_misses_total "))
         assert float(hits.split()[1]) == 7.0
-        assert float(rebuilds.split()[1]) == 2.0
+        assert float(misses.split()[1]) == 2.0
         # Disabled again: the runtime registry is gone from the payload.
-        assert "delta_sampler" not in server.render_metrics()
+        assert "sampler_cache" not in server.render_metrics()

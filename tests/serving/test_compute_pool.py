@@ -16,6 +16,7 @@ import pickle
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from repro.obs.health import HealthMonitor  # noqa: E402
 from repro.obs.server import ObsServer  # noqa: E402
 from repro.serving import (  # noqa: E402
     ComputePool,
-    FloorServingService,
     ServingConfig,
     ShardedServingService,
     WorkerCrashError,
@@ -48,10 +48,10 @@ pytestmark = pytest.mark.skipif(
     reason="compute-pool tests drive the fork start method")
 
 
-def fitted_model(serving_corpus, building_id="bldg-north", **fit_kwargs):
+def fitted_model(serving_corpus, building_id="bldg-north"):
     registry, _, training = serving_corpus
     dataset, labels = training[building_id]
-    return GRAFICS(registry.config).fit(dataset, labels, **fit_kwargs)
+    return GRAFICS(registry.config).fit(dataset, labels)
 
 
 # --------------------------------------------------------------------------
@@ -62,18 +62,6 @@ class TestPickleRoundTrips:
         """A pickled model is a faithful snapshot: same prediction bytes."""
         _, held_out, _ = serving_corpus
         model = fitted_model(serving_corpus)
-        probes = held_out["bldg-north"][:10]
-        expected = model.predict_batch(list(probes), independent=True)
-        clone = pickle.loads(pickle.dumps(model))
-        got = clone.predict_batch(list(probes), independent=True)
-        assert pickle.dumps(got) == pickle.dumps(expected)
-
-    def test_delta_sampler_snapshot_predicts_byte_identically(
-            self, serving_corpus):
-        """The delta-mode sampler state survives the snapshot too."""
-        _, held_out, _ = serving_corpus
-        model = fitted_model(serving_corpus, sampler_mode="delta")
-        assert model.config.sampler_mode == "delta"
         probes = held_out["bldg-north"][:10]
         expected = model.predict_batch(list(probes), independent=True)
         clone = pickle.loads(pickle.dumps(model))
@@ -165,31 +153,16 @@ class TestPoolIdentity:
                 assert result.prediction == expected[record_id].prediction
                 assert result.source == expected[record_id].source
 
-    def test_delta_sampler_mode_identical(self, serving_corpus, fake_clock):
-        registry, held_out, _ = serving_corpus
-        _, _, training = serving_corpus
-        delta_registry = clone_registry(registry)
-        for building_id, (dataset, labels) in training.items():
-            delta_model = GRAFICS(registry.config).fit(
-                dataset, labels, sampler_mode="delta")
-            delta_registry.install_model(
-                building_id, delta_model, vocabulary=frozenset(dataset.macs))
-        probes = interleaved_probes(held_out, per_building=6)
-        control = FloorServingService(
-            clone_registry(delta_registry),
-            ServingConfig(enable_cache=False))
-        with FloorServingService(
-                clone_registry(delta_registry),
-                ServingConfig(enable_cache=False, **FORK)) as pooled:
-            assert pickle.dumps(pooled.predict_batch(probes)) == \
-                   pickle.dumps(control.predict_batch(probes))
-
     def test_identity_across_hot_swap(self, serving_corpus, fake_clock):
         """A swap bumps the generation: post-swap pooled predictions match
         a control service that swapped the same model in-process."""
-        registry, held_out, _ = serving_corpus
+        registry, held_out, training = serving_corpus
         probes = held_out["bldg-north"][:8]
-        replacement = fitted_model(serving_corpus, sampler_mode="delta")
+        # A different seed, so the swapped-in model serves different bytes.
+        config = registry.config
+        replacement = GRAFICS(replace(
+            config, embedding=replace(config.embedding, seed=1))).fit(
+                *training["bldg-north"])
         control = make_service(registry, fake_clock, enable_cache=False)
         with make_service(registry, fake_clock, enable_cache=False,
                           **FORK) as pooled:

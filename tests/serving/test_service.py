@@ -263,22 +263,3 @@ class TestBuildingLifecycle:
         assert snapshot["cache"]["misses"] == len(probes)
         assert "batch_seconds" in snapshot["latency"]
         assert snapshot["pending"] == {}
-
-
-class TestRetrainSamplerMode:
-    def test_retrain_building_records_sampler_mode(self, serving_corpus,
-                                                   fake_clock):
-        """``retrain_building(sampler_mode="delta")`` must land the mode on
-        the hot-swapped model, so its cold predictions run the composed
-        delta sampler from the first post-swap request."""
-        registry, held_out, training = serving_corpus
-        building_id = "bldg-north"
-        dataset, labels = training[building_id]
-        service = make_service(registry, fake_clock)
-        swapped = service.retrain_building(dataset, labels,
-                                           sampler_mode="delta")
-        assert swapped.config.sampler_mode == "delta"
-        assert service.registry.model_for(building_id) is swapped
-        # The delta-mode model still serves that building's probes.
-        prediction = service.predict(held_out[building_id][0])
-        assert prediction.floor is not None

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ import pytest
 from stream_helpers import stream_records, train_service
 
 from repro import ShardedServingService, StreamConfig
-from repro.core.persistence import load_stream_state, save_stream_state
+from repro.core.persistence import (
+    load_model,
+    load_stream_state,
+    save_model,
+    save_stream_state,
+)
 from repro.stream import (
     ContinuousLearningPipeline,
     DriftConfig,
@@ -138,6 +145,61 @@ class TestResumeReplaysIdentically:
         assert (pickle.dumps(resumed.service.predict_batch(probes))
                 == pickle.dumps(pipeline.service.predict_batch(probes)))
 
+    def test_retired_mode_keys_in_saved_model_load(self, tmp_path):
+        """A model saved when the training kernel and the cold-path negative
+        sampler were selectable names both in its embedding config; it
+        loads and predicts the same bytes as the payload without them."""
+        service, splits = train_service()
+        save_model(service.model_for("bldg-A"), tmp_path / "plain.npz")
+        with np.load(tmp_path / "plain.npz") as archive:
+            arrays = dict(archive)
+        metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
+        metadata["config"]["embedding"].update(kernel="fused",
+                                               sampler_mode="delta")
+        arrays["metadata"] = np.frombuffer(
+            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(tmp_path / "retired.npz", **arrays)
+
+        plain = load_model(tmp_path / "plain.npz")
+        retired = load_model(tmp_path / "retired.npz")
+        assert retired.config == plain.config
+        probes = [r.without_floor()
+                  for r in splits["bldg-A"].test_records[:8]]
+        assert (pickle.dumps(retired.predict_batch(probes, independent=True))
+                == pickle.dumps(plain.predict_batch(probes, independent=True)))
+
+    def test_retired_mode_keys_in_stream_state_resume(self, tmp_path):
+        """Stream state written when the kernel and the negative sampler
+        were selectable names them in the stream config and the service's
+        embedding config; it resumes, serves and retrains exactly like the
+        same state without those keys."""
+        service, splits = train_service()
+        split = splits["bldg-A"]
+        pipeline = ContinuousLearningPipeline(service, drift_config())
+        pipeline.process_stream(stream_records(split, 80, prefix="steady-",
+                                               jitter=2.0))
+        pipeline.checkpoint(tmp_path / "plain")
+        shutil.copytree(tmp_path / "plain", tmp_path / "retired")
+        state_path = tmp_path / "retired" / "stream_state.json"
+        state = load_stream_state(state_path)
+        state["stream_config"].update(retrain_kernel="fused",
+                                      retrain_sampler_mode="delta")
+        state["service"]["grafics_config"]["embedding"].update(
+            kernel="fused", sampler_mode="delta")
+        save_stream_state(state, state_path)
+
+        plain = ContinuousLearningPipeline.resume(tmp_path / "plain")
+        retired = ContinuousLearningPipeline.resume(tmp_path / "retired")
+        assert retired.config == plain.config
+        assert retired.service.grafics_config == plain.service.grafics_config
+        churn = churn_stream(split)
+        assert (pickle.dumps(summarize(retired.process_stream(churn)))
+                == pickle.dumps(summarize(plain.process_stream(churn))))
+        assert retired.scheduler.retrains_total == 1
+        assert plain.scheduler.retrains_total == 1
+        assert np.array_equal(retired.service.model_for("bldg-A").embedding.ego,
+                              plain.service.model_for("bldg-A").embedding.ego)
+
     def test_dedup_filter_memory_survives_resume(self, tmp_path):
         """A duplicate of a pre-checkpoint record must still be rejected."""
         service, splits = train_service()
@@ -204,28 +266,15 @@ class TestCheckpointFormat:
 
 
 class TestStreamConfigCodec:
-    def test_invalid_retrain_sampler_mode_fails_at_construction(self):
-        with pytest.raises(ValueError, match="sampler_mode"):
-            StreamConfig(retrain_sampler_mode="bogus")
-
-    def test_payload_round_trips_retrain_sampler_mode(self):
-        from dataclasses import asdict
-
-        from repro.stream.pipeline import _stream_config_from_payload
-
-        config = StreamConfig(retrain_sampler_mode="delta")
-        rebuilt = _stream_config_from_payload(asdict(config))
-        assert rebuilt == config
-        assert rebuilt.retrain_sampler_mode == "delta"
-
     def test_old_checkpoint_payload_without_key_loads(self):
-        """Checkpoints written before the delta-sampler layer existed have
-        no ``retrain_sampler_mode`` key; they must load with the default."""
+        """Checkpoints written before the failure-domain layer existed have
+        no ``retrain_deadline_seconds`` key; they must load with the
+        default."""
         from dataclasses import asdict
 
         from repro.stream.pipeline import _stream_config_from_payload
 
         payload = asdict(StreamConfig())
-        del payload["retrain_sampler_mode"]
+        del payload["retrain_deadline_seconds"]
         rebuilt = _stream_config_from_payload(payload)
-        assert rebuilt.retrain_sampler_mode is None
+        assert rebuilt == StreamConfig()

@@ -359,29 +359,3 @@ class TestFitDeadline:
         service, _ = fresh_service
         with pytest.raises(ValueError, match="fit_deadline_seconds"):
             RetrainExecutor(service, fit_deadline_seconds=0.0)
-
-
-class TestSamplerModeOverride:
-    def test_invalid_sampler_mode_rejected(self, fresh_service):
-        service, _ = fresh_service
-        with pytest.raises(ValueError, match="sampler_mode"):
-            RetrainExecutor(service, sampler_mode="bogus")
-
-    def test_sampler_mode_recorded_on_swapped_model(self, fresh_service):
-        """An executor-level mode override must survive onto the model that
-        serves after the swap — that is how a stream deployment opts its
-        retrained buildings into the delta cold path."""
-        service, splits = fresh_service
-        dataset, labels = window_dataset(splits["bldg-A"])
-        executor = RetrainExecutor(service, sampler_mode="delta")
-        completion = executor.submit("bldg-A", dataset, labels,
-                                     trigger="drift:mac_churn")
-        assert completion is not None and completion.swapped
-        assert service.model_for("bldg-A").config.sampler_mode == "delta"
-
-    def test_default_keeps_service_mode(self, fresh_service):
-        service, splits = fresh_service
-        dataset, labels = window_dataset(splits["bldg-A"])
-        executor = RetrainExecutor(service)
-        executor.submit("bldg-A", dataset, labels, trigger="drift:mac_churn")
-        assert service.model_for("bldg-A").config.sampler_mode is None
